@@ -23,8 +23,10 @@ type XMLReport struct {
 	// representation — the space blow-up relative to the input that
 	// Section 1 calls out on tall documents.
 	RecordBytes int64
-	// InputBytes is the size of the input document.
-	InputBytes int64
+	// InputBytes and OutputBytes are the sizes of the input and output
+	// documents.
+	InputBytes  int64
+	OutputBytes int64
 	// InitialRuns and MergePasses describe the external sort's shape; the
 	// total number of passes over the data is MergePasses+1.
 	InitialRuns int
@@ -208,6 +210,7 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	if err := cw.Flush(); err != nil {
 		return nil, err
 	}
+	report.OutputBytes = cw.BytesWritten()
 
 	st := sorter.Stats()
 	report.Records = st.Records

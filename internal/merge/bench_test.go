@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -38,4 +40,38 @@ func BenchmarkStreamingMerge(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkStreamingMergeFile is BenchmarkStreamingMerge into a real
+// file, where every Write the merge issues is a system call; writes/op
+// reports how many reached the file.
+func BenchmarkStreamingMergeFile(b *testing.B) {
+	left, right, c := benchDocs()
+	benchMergeToFile(b, left, right, c)
+}
+
+// BenchmarkStreamingMergeDeep merges two documents whose single matched
+// child holds nearly all of each input, into a real file.
+func BenchmarkStreamingMergeDeep(b *testing.B) {
+	benchMergeToFile(b, deepMatchedDoc(1<<20, 0, 2), deepMatchedDoc(1<<20, 1, 2), anyKeyCriterion())
+}
+
+func benchMergeToFile(b *testing.B, left, right string, c *keys.Criterion) {
+	f, err := os.Create(filepath.Join(b.TempDir(), "merged.xml"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	cw := &countingWriter{w: f}
+	b.SetBytes(int64(len(left) + len(right)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Documents(strings.NewReader(left), strings.NewReader(right), c, cw, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(cw.writes)/float64(b.N), "writes/op")
 }

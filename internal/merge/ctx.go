@@ -12,9 +12,9 @@ import (
 // with no em.Device underneath to enforce a lifecycle — so cancellation
 // is enforced at the stream boundary instead: guarded readers and a
 // guarded writer refuse further bytes once the context ends. The merge
-// consumes input and produces output continuously (the parser pipelines
-// buffer at most a bounded token window), so a cancellation is observed
-// within one buffered read or write.
+// consumes input and produces output continuously (the input read-ahead
+// holds a bounded number of blocks and the output buffer one block), so a
+// cancellation is seen at the next input read or output flush.
 
 // DocumentsContext is Documents bounded by ctx: when ctx is canceled or
 // its deadline passes, the merge stops at the next stream operation and

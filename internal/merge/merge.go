@@ -13,9 +13,13 @@
 //
 // Documents is the single-pass streaming merge over two sorted inputs (the
 // sort-merge strategy). Because sibling lists are sorted by key alone,
-// siblings sharing a key form a group; within a group the merger matches
-// left and right entries by tag name, buffering just that group — the
-// memory cost is one duplicate-key group, not a document. NestedLoop is
+// siblings sharing a key form a group, and within a group the merger
+// matches left and right entries by tag name. While the two heads of a
+// group carry the same tag they pair off on the live streams, so the
+// common case — matched elements, however large — streams with memory
+// proportional to the tree height. Only a group whose heads differ in tag
+// is buffered, from that point to its end, to pair the remaining entries.
+// The output goes out in blocks of outputBlockBytes. NestedLoop is
 // the naive strategy the paper's introduction dismisses — for each
 // element, scan the other document for its match — implemented over
 // in-memory trees; it requires no sorting and serves as the correctness
@@ -23,6 +27,7 @@
 package merge
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"runtime"
@@ -88,11 +93,12 @@ func Documents(left, right io.Reader, c *keys.Criterion, out io.Writer, opts Opt
 	defer ls.stop()
 	rs := newParserStream(right, c, &rep.ElementsRight, pipelined)
 	defer rs.stop()
+	bw := bufio.NewWriterSize(out, outputBlockBytes)
 	var w *xmltok.Writer
 	if opts.Indent != "" {
-		w = xmltok.NewIndentWriter(out, opts.Indent)
+		w = xmltok.NewIndentWriter(bw, opts.Indent)
 	} else {
-		w = xmltok.NewWriter(out)
+		w = xmltok.NewWriter(bw)
 	}
 
 	m := &merger{w: w, opts: opts, rep: rep}
@@ -115,8 +121,17 @@ func Documents(left, right io.Reader, c *keys.Criterion, out io.Writer, opts Opt
 	if err := w.Close(); err != nil {
 		return nil, err
 	}
+	if err := bw.Flush(); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }
+
+// outputBlockBytes is the merge's output buffer: the writer emits one
+// small fragment per tag, name and attribute, so the output reaches out
+// in blocks of this size (the library's default block size B) rather
+// than one Write per fragment.
+const outputBlockBytes = 64 << 10
 
 func eofIsEmpty(err error) error {
 	if err == io.EOF {
@@ -229,6 +244,14 @@ func (m *merger) mergeChildren(l, r tokStream) error {
 				if err := m.copySubtree(l); err != nil {
 					return err
 				}
+			case ltok.Name == rtok.Name:
+				// The left head's partner is the first unused same-tag
+				// right entry, which is the right head itself: the pair
+				// is settled without looking further, and the rest of
+				// the group is the same problem one pair smaller.
+				if err := m.mergePair(l, r); err != nil {
+					return err
+				}
 			default:
 				if err := m.mergeGroup(l, r, lkey); err != nil {
 					return err
@@ -251,12 +274,13 @@ func peekSibling(s tokStream) (xmltok.Token, bool, error) {
 	return tok, tok.Kind != xmltok.KindEnd, nil
 }
 
-// mergeGroup handles a maximal run of siblings sharing one non-empty key
-// on both sides. Keys alone determine sorted positions, so entries with
-// different tags interleave within the group; matching is by tag, which
-// requires buffering the group and pairing entries the way the nested-loop
-// semantics do: each left entry takes the first unused same-tag right
-// entry, then unmatched right entries follow.
+// mergeGroup handles the rest of a run of siblings sharing one non-empty
+// key on both sides, once the two heads differ in tag. Keys alone
+// determine sorted positions, so entries with different tags interleave
+// within the group; matching is by tag, which requires buffering the
+// group and pairing entries the way the nested-loop semantics do: each
+// left entry takes the first unused same-tag right entry, then unmatched
+// right entries follow.
 func (m *merger) mergeGroup(l, r tokStream, key string) error {
 	lgroup, err := readGroup(l, key)
 	if err != nil {

@@ -18,6 +18,7 @@ func FuzzParser(f *testing.F) {
 		`<a x="1">text</a>`,
 		`<?xml version="1.0"?><r><![CDATA[x]]><!-- c --></r>`,
 		`<a>&amp;&#65;</a>`,
+		`<a><![CDATA[x]]]></a>`,
 		`<a x='q"q'><b/></a>`,
 		`<a`, `</`, `<a></b>`, `<<>>`, "\x00\xff<",
 	}

@@ -436,31 +436,25 @@ func (p *Parser) skipUntil(marker string) error {
 }
 
 // readUntil returns input up to (excluding) the first occurrence of the
-// marker, consuming the marker too.
+// marker, consuming the marker too. The marker is found by checking the
+// accumulated input for it as a suffix whenever the marker's last byte
+// arrives, so overlapping prefixes ("]]]>" ends a CDATA section holding
+// "]") are handled at O(len(marker)) cost per such byte.
 func (p *Parser) readUntil(marker string) (string, error) {
 	var sb strings.Builder
-	matched := 0
+	last := marker[len(marker)-1]
 	for {
 		b, err := p.readByte()
 		if err != nil {
 			return "", truncated(err, "missing %q terminator", marker)
 		}
-		if b == marker[matched] {
-			matched++
-			if matched == len(marker) {
-				return sb.String(), nil
-			}
+		sb.WriteByte(b)
+		if b != last {
 			continue
 		}
-		if matched > 0 {
-			sb.WriteString(marker[:matched])
-			matched = 0
-			if b == marker[0] {
-				matched = 1
-				continue
-			}
+		if s := sb.String(); strings.HasSuffix(s, marker) {
+			return s[:len(s)-len(marker)], nil
 		}
-		sb.WriteByte(b)
 	}
 }
 

@@ -90,6 +90,42 @@ func TestParserCommentsPIDoctype(t *testing.T) {
 	}
 }
 
+// TestParserTerminatorOverlap covers markers whose first bytes repeat just
+// before the real terminator: a naive matcher restarts one byte too late
+// and misses "]]>" in "]]]>", "-->" in "--->" and "?>" in "??>".
+func TestParserTerminatorOverlap(t *testing.T) {
+	opts := ParserOptions{SkipWhitespaceText: false, ValidateNesting: true}
+	cases := []struct {
+		doc  string
+		want []Token
+	}{
+		{`<a><![CDATA[x]]]></a>`, []Token{{Kind: KindStart, Name: "a"}, {Kind: KindText, Text: "x]"}, {Kind: KindEnd, Name: "a"}}},
+		{`<a><![CDATA[x]]]]></a>`, []Token{{Kind: KindStart, Name: "a"}, {Kind: KindText, Text: "x]]"}, {Kind: KindEnd, Name: "a"}}},
+		{`<a><![CDATA[]]]]>y</a>`, []Token{{Kind: KindStart, Name: "a"}, {Kind: KindText, Text: "]]"}, {Kind: KindText, Text: "y"}, {Kind: KindEnd, Name: "a"}}},
+		{`<a><![CDATA[]]></a>`, []Token{{Kind: KindStart, Name: "a"}, {Kind: KindText, Text: ""}, {Kind: KindEnd, Name: "a"}}},
+		{`<a><![CDATA[]>]]>]]></a>`, []Token{{Kind: KindStart, Name: "a"}, {Kind: KindText, Text: "]>"}, {Kind: KindText, Text: "]]>"}, {Kind: KindEnd, Name: "a"}}},
+		{`<a><?pi x??>y</a>`, []Token{{Kind: KindStart, Name: "a"}, {Kind: KindText, Text: "y"}, {Kind: KindEnd, Name: "a"}}},
+		{`<a><?pi x???>y</a>`, []Token{{Kind: KindStart, Name: "a"}, {Kind: KindText, Text: "y"}, {Kind: KindEnd, Name: "a"}}},
+		{`<a><!-- x ---><b/></a>`, []Token{{Kind: KindStart, Name: "a"}, {Kind: KindStart, Name: "b"}, {Kind: KindEnd, Name: "b"}, {Kind: KindEnd, Name: "a"}}},
+		{`<a><!----->y</a>`, []Token{{Kind: KindStart, Name: "a"}, {Kind: KindText, Text: "y"}, {Kind: KindEnd, Name: "a"}}},
+	}
+	for _, tc := range cases {
+		if got := parseAll(t, tc.doc, opts); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %v\nwant %v", tc.doc, got, tc.want)
+		}
+	}
+	for _, doc := range []string{`<a><![CDATA[x]]]</a>`, `<a><!-- x --</a>`, `<a><?pi x?</a>`} {
+		p := NewParser(strings.NewReader(doc), opts)
+		var err error
+		for err == nil {
+			_, err = p.Next()
+		}
+		if err == io.EOF || !strings.Contains(err.Error(), "terminator") {
+			t.Errorf("%s: err = %v, want a missing-terminator error", doc, err)
+		}
+	}
+}
+
 func TestParserWhitespaceHandling(t *testing.T) {
 	doc := "<a>\n  <b> </b>\n</a>"
 	withWS := parseAll(t, doc, ParserOptions{SkipWhitespaceText: false, ValidateNesting: true})
@@ -173,6 +209,8 @@ func TestParserAgainstEncodingXML(t *testing.T) {
 		`<root><a x="1"><b>text</b></a><a x="2"/></root>`,
 		`<r>before<mid a="&amp;"/>after</r>`,
 		`<r><![CDATA[<not a tag>]]></r>`,
+		`<a><![CDATA[x]]]></a>`,
+		`<a><![CDATA[x]]]]></a>`,
 		"<r>élève 世界</r>",
 		`<deep><a><b><c><d><e>leaf</e></d></c></b></a></deep>`,
 	}

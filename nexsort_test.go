@@ -43,6 +43,10 @@ func TestSortAllAlgorithmsAgree(t *testing.T) {
 		if res.Elements != 8 {
 			t.Errorf("%v: Elements = %d, want 8", algo, res.Elements)
 		}
+		if res.InputBytes != int64(len(apiDoc)) || res.OutputBytes != int64(out.Len()) {
+			t.Errorf("%v: InputBytes, OutputBytes = %d, %d; want %d, %d",
+				algo, res.InputBytes, res.OutputBytes, len(apiDoc), out.Len())
+		}
 		if res.TotalIOs <= 0 || res.SimulatedSeconds <= 0 {
 			t.Errorf("%v: missing accounting: ios=%d sim=%g", algo, res.TotalIOs, res.SimulatedSeconds)
 		}
