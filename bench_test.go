@@ -244,28 +244,3 @@ func BenchmarkOverlapPipeline(b *testing.B) {
 		b.ReportMetric(bestMerge, "mergesort-speedup")
 	}
 }
-
-// BenchmarkPartitionedMerge drives the range-partitioned final merge sweep
-// (DESIGN.md §17) under simulated device latency. The experiment
-// hard-fails if any partition count changes the output bytes or moves the
-// logical ledger, so `-benchtime=1x` in CI doubles as a conformance run;
-// the reported metric is the best merge-phase speedup over the serial
-// loser tree.
-func BenchmarkPartitionedMerge(b *testing.B) {
-	dir := b.TempDir()
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.PMerge(bench.PMergeConfig{Scale: benchScale, ScratchDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var best float64 = 1
-		var atP int
-		for _, r := range rows {
-			if r.Speedup > best {
-				best, atP = r.Speedup, r.Parallel
-			}
-		}
-		b.ReportMetric(best, "merge-speedup")
-		b.ReportMetric(float64(atP), "at-parallel")
-	}
-}

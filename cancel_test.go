@@ -76,16 +76,10 @@ func TestCancelAnywhereSoak(t *testing.T) {
 				// the synchronous paths): triggers then land inside queued
 				// write-behind flushes and in-flight prefetches, and the
 				// drain — at most two extra engine-side operations — must
-				// stay inside the same promptness bound. The p>1 legs also
-				// range-partition every final merge, so triggers land inside
-				// fence-index spills and reads, the planner's cut scans, and
-				// concurrent partition workers — all of which must unwind
-				// frame- and budget-clean within the same bound (partition
-				// workers are ordinary pool workers, so K is unchanged).
+				// stay inside the same promptness bound.
 				env := cancelEnv(p, p == 2)
 				if p > 1 {
 					env.ReadAhead, env.WriteBehind = p/2, p/2
-					env.MergeParallel = p
 				}
 				clean := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{
 					Algorithm: algo, Env: env,
@@ -99,9 +93,6 @@ func TestCancelAnywhereSoak(t *testing.T) {
 				total := clean.TotalOps
 				if total < 20 {
 					t.Fatalf("clean run performed only %d device ops; workload too small to soak", total)
-				}
-				if p > 1 && algo == chaostest.MergeSort && clean.Stats.TotalPartitionedMerges() == 0 {
-					t.Fatal("partitioned-merge leg ran no partitioned merge; the soak would be vacuous")
 				}
 
 				// Sweep trigger points across the whole run. The stride
@@ -230,17 +221,13 @@ func TestExhaustAnywhereSoak(t *testing.T) {
 		for _, p := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%v/p%d", algo, p), func(t *testing.T) {
 				// The p=8 leg exhausts the device underneath the spill
-				// codec, with the async pipelines on and the final merges
-				// range-partitioned: a compressed write-behind flush hitting
-				// ENOSPC must surface the same typed error at the
-				// submitter's next touch point, with no codec scratch
-				// pinned and no engine frame leaked — and exhaustion inside
-				// a fence-index spill, a preallocated output segment, or a
-				// concurrent partition worker must unwind exactly as clean.
+				// codec, with the async pipelines on: a compressed
+				// write-behind flush hitting ENOSPC must surface the same
+				// typed error at the submitter's next touch point, with no
+				// codec scratch pinned and no engine frame leaked.
 				env := cancelEnv(p, p == 8)
 				if p == 8 {
 					env.ReadAhead, env.WriteBehind = 3, 3
-					env.MergeParallel = p
 				}
 				clean := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{Algorithm: algo, Env: env})
 				if clean.Err != nil {
@@ -307,14 +294,11 @@ func TestCancelScratchClean(t *testing.T) {
 	dir := t.TempDir()
 
 	for _, algo := range chaostest.Algorithms {
-		// Compressed, with the async pipelines on and partitioned final
-		// merges: the scratch file's cleanup must be just as oblivious to
-		// the spill representation, the pipeline depth and the merge
-		// partitioning (fence-index streams included) as to the trigger
-		// point.
+		// Compressed, with the async pipelines on: the scratch file's
+		// cleanup must be just as oblivious to the spill representation
+		// and the pipeline depth as to the trigger point.
 		env := cancelEnv(2, true)
 		env.ReadAhead, env.WriteBehind = 2, 2
-		env.MergeParallel = 2
 		env.ScratchDir = dir
 		clean := chaostest.RunCancel(doc, crit, chaostest.CancelTrial{Algorithm: algo, Env: env})
 		if clean.Err != nil {

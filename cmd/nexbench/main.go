@@ -36,7 +36,7 @@ var jsonOut bool
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|parallel|alloc|cmp|spill|overlap|pmerge|all")
+		exp       = flag.String("exp", "all", "experiment: table1|table2|fig5|fig6|fig7|threshold|bounds|ablation|parallel|alloc|cmp|spill|overlap|all")
 		scale     = flag.Float64("scale", 1.0, "input size multiplier (1.0 ≈ seconds per experiment)")
 		scratch   = flag.String("scratch", "", "scratch directory for workloads and spill (default: memory-backed spill, temp-dir workloads)")
 		seed      = flag.Int64("seed", 1, "workload seed")
@@ -49,10 +49,8 @@ func main() {
 		compress  = flag.Bool("spill-compress", false, "front-code and deflate spill blocks in every experiment environment; logical block transfers are unchanged")
 		spillOut  = flag.String("spill-out", "BENCH_spill.json", "output path for the spill experiment's machine-readable rows")
 		overlapO  = flag.String("overlap-out", "BENCH_overlap.json", "output path for the overlap experiment's machine-readable rows")
-		pmergeO   = flag.String("pmerge-out", "BENCH_pmerge.json", "output path for the pmerge experiment's machine-readable rows")
 		readAhead = flag.Int("read-ahead", 0, "read-ahead depth for every experiment environment (0 = synchronous); counted block transfers are unaffected")
 		writeBeh  = flag.Int("write-behind", 0, "write-behind depth for every experiment environment (0 = synchronous); counted block transfers are unaffected")
-		mergePar  = flag.Int("merge-parallel", 0, "final-merge partition count for every experiment environment (0 = serial); output bytes are unaffected and counted block transfers gain only the fence-index side stream")
 	)
 	flag.Parse()
 	jsonOut = *jsonFlag
@@ -67,7 +65,6 @@ func main() {
 	bench.DefaultParallelism = *parallel
 	bench.DefaultReadAhead = *readAhead
 	bench.DefaultWriteBehind = *writeBeh
-	bench.DefaultMergeParallel = *mergePar
 
 	dir := *scratch
 	if dir == "" {
@@ -269,34 +266,6 @@ func main() {
 			}
 			if !jsonOut {
 				fmt.Printf("(overlap rows written to %s)\n", *overlapO)
-			}
-			return nil
-		})
-	}
-
-	if want("pmerge") {
-		ran = true
-		run("Range-partitioned merge (merge-phase wall clock vs partition count)", func() error {
-			rows, err := bench.PMerge(bench.PMergeConfig{Scale: s, ScratchDir: dir, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			printTable(bench.PMergeTable(rows))
-			f, err := os.Create(*pmergeO)
-			if err != nil {
-				return err
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			if !jsonOut {
-				fmt.Printf("(pmerge rows written to %s)\n", *pmergeO)
 			}
 			return nil
 		})

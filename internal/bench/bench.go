@@ -117,11 +117,6 @@ type Params struct {
 	// are invariant under these knobs — only WallSeconds moves.
 	ReadAhead   int
 	WriteBehind int
-	// MergeParallel range-partitions every external sort's final merge
-	// into up to this many concurrent key ranges (0 = serial). The output
-	// and the counted logical block transfers are invariant under this
-	// knob; it only adds the tiny fence-index side streams.
-	MergeParallel int
 }
 
 // Result is one measured run.
@@ -176,11 +171,6 @@ var (
 	DefaultWriteBehind int
 )
 
-// DefaultMergeParallel is the process-wide final-merge partition count
-// applied to runs whose Params leave MergeParallel zero; cmd/nexbench sets
-// it from -merge-parallel. Zero keeps the final merge serial.
-var DefaultMergeParallel int
-
 // Run sorts the workload once under p, discarding the output document (its
 // write I/O is still counted).
 func Run(w *Workload, p Params) (*Result, error) {
@@ -196,10 +186,6 @@ func Run(w *Workload, p Params) (*Result, error) {
 	if writeBehind == 0 {
 		writeBehind = DefaultWriteBehind
 	}
-	mergeParallel := p.MergeParallel
-	if mergeParallel == 0 {
-		mergeParallel = DefaultMergeParallel
-	}
 	cfg := em.Config{
 		BlockSize:       p.BlockSize,
 		MemBlocks:       p.MemBlocks,
@@ -211,8 +197,6 @@ func Run(w *Workload, p Params) (*Result, error) {
 		CompressSpill:   Hardening.CompressSpill || p.CompressSpill,
 		ReadAhead:       readAhead,
 		WriteBehind:     writeBehind,
-		MergeParallel:   mergeParallel,
-		FenceIndex:      mergeParallel > 0,
 		WrapBackend:     WrapBackend,
 	}
 	env, err := em.NewEnv(cfg)

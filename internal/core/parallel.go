@@ -18,16 +18,20 @@ import (
 // working set, and the main goroutine keeps scanning the input — the next
 // sibling fills while the previous one sorts and spills.
 //
-// Two rules keep the execution byte-identical to sequential at every
+// Three rules keep the execution byte-identical to sequential at every
 // parallelism level, with unchanged block-transfer counts:
 //
-//  1. Admission reads effectiveFree() — the budget as a sequential run
+//  1. Routing reads effectiveFree() — the budget as a sequential run
 //     would see it, i.e. actual free blocks plus everything in-flight
 //     workers still hold. The internal-vs-external routing of every
 //     subtree (which determines all I/O) is thus independent of worker
 //     timing. Grant/release and the in-flight tally move together under
-//     parMu, so the figure is exact, never racy.
-//  2. Every non-dispatched path (external sort, degeneration, incomplete
+//     par.mu, so the figure is exact, never racy.
+//  2. Admission reads the real Budget.Free(): a worker is dispatched only
+//     when the actual free blocks cover its working set plus the main
+//     goroutine's remaining headroom (grantWorker). Otherwise the subtree
+//     sorts inline, on the route rule 1 already chose.
+//  3. Every non-dispatched path (external sort, degeneration, incomplete
 //     merges, error unwinds, the output phase) first drains the pool, so
 //     code that sizes itself by Budget.Free() — the key-path fallback,
 //     the child-record merger — sees exactly the sequential value.
@@ -55,11 +59,24 @@ func (s *sorter) effectiveFree() int {
 	return s.env.Budget.Free() + s.par.inflight
 }
 
+// mainHeadroom is what the main goroutine still grants between admitting
+// a worker and its next drain: the range reader snapshotRange opens to
+// copy the subtree off the data stack. Every later grant on the main
+// goroutine (the sequential path, the output phase) drains first.
+const mainHeadroom = 1
+
 // grantWorker reserves n blocks for a worker and records them in the
-// in-flight tally atomically with the grant.
+// in-flight tally atomically with the grant. Workers never grant, so the
+// real free count only grows while the main goroutine is between here and
+// its next drain: admitting only when it covers n plus mainHeadroom means
+// the main goroutine's own grants cannot fail for a block a worker holds.
 func (s *sorter) grantWorker(n int) error {
 	s.par.mu.Lock()
 	defer s.par.mu.Unlock()
+	if free := s.env.Budget.Free(); free < n+mainHeadroom {
+		return fmt.Errorf("%w: worker wants %d blocks plus %d for the main goroutine, %d free",
+			em.ErrBudgetExceeded, n, mainHeadroom, free)
+	}
 	if err := s.env.Budget.Grant(n); err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ type asyncEngine struct {
 	// pending mirrors every write-behind block that has not yet reached the
 	// backend: block ID → latest submitted bytes plus the number of
 	// submissions still in flight. Reads (sync and prefetch) consult it
-	// after the cache and before the backend.
+	// before the backend.
 	pendMu  sync.Mutex
 	pending map[int64]*pendingWrite
 
@@ -77,25 +77,15 @@ type pendingWrite struct {
 	count int    // submissions not yet flushed
 }
 
-// prefetchSlot is one scheduled read-ahead block. The worker fills frame,
-// records where the bytes came from (for consumption-time stats), and
-// closes done. Exactly one of consume/abandon must follow.
+// prefetchSlot is one scheduled read-ahead block. The worker fills frame
+// and closes done. Exactly one of consume/abandon must follow.
 type prefetchSlot struct {
 	cat   Category
 	id    int64
 	frame Frame
-	src   prefetchSource
 	err   error
 	done  chan struct{}
 }
-
-type prefetchSource uint8
-
-const (
-	srcBackend prefetchSource = iota // read the backend (or was served by write-behind)
-	srcCache                         // served by the clean-frame cache
-	srcPending                       // served by an in-flight write-behind
-)
 
 func newAsyncEngine(dev *Device, readAhead, writeBehind int) *asyncEngine {
 	e := &asyncEngine{
@@ -149,7 +139,7 @@ func (e *asyncEngine) submitWrite(c Category, id int64, frame Frame, done func(e
 func (e *asyncEngine) flushLoop() {
 	defer e.flushWG.Done()
 	for req := range e.writeq {
-		err := e.dev.writeBlockSync(req.cat, req.id, req.frame.Bytes(), false)
+		err := e.dev.WriteBlock(req.cat, req.id, req.frame.Bytes())
 		e.completePending(req.id, err != nil)
 		e.dev.frames.Release(req.frame)
 		req.done(err)
@@ -237,17 +227,16 @@ func (e *asyncEngine) tryPrefetch(c Category, id int64) *prefetchSlot {
 func (e *asyncEngine) prefetchLoop() {
 	defer e.readWG.Done()
 	for s := range e.readq {
-		s.src, s.err = e.dev.readBlockPrefetch(s.cat, s.id, s.frame.Bytes())
+		s.err = e.dev.readBlockUncharged(s.cat, s.id, s.frame.Bytes())
 		close(s.done)
 	}
 }
 
 // consume hands the reader the prefetched frame for s in exchange for the
 // frame it was using, charging the logical read exactly as the synchronous
-// path would have: a cache hit stays a cache hit, everything else is one
-// Read plus its block of ReadBytes (and a cache miss when a cache is
-// configured). On error the reader keeps its frame and gets the error the
-// synchronous read would have produced at this touch point.
+// path would have: one Read plus its block of ReadBytes. On error the
+// reader keeps its frame and gets the error the synchronous read would have
+// produced at this touch point.
 func (e *asyncEngine) consume(s *prefetchSlot, old Frame) (Frame, error) {
 	<-s.done
 	if s.err != nil {
@@ -256,15 +245,8 @@ func (e *asyncEngine) consume(s *prefetchSlot, old Frame) (Frame, error) {
 	}
 	st, c, bs := e.dev.stats, s.cat, int64(e.dev.blockSize)
 	st.AddPrefetchHits(c, 1)
-	if s.src == srcCache {
-		st.AddCacheHits(c, 1)
-	} else {
-		st.AddReads(c, 1)
-		st.AddReadBytes(c, bs)
-		if e.dev.cacheEnabled() {
-			st.AddCacheMisses(c, 1)
-		}
-	}
+	st.AddReads(c, 1)
+	st.AddReadBytes(c, bs)
 	e.recycle(old)
 	return s.frame, nil
 }

@@ -15,7 +15,11 @@ import (
 // The trailer is written in the same WriteAt as the payload, so a torn
 // write leaves the magic missing (or the CRC stale) and the block fails
 // verification on its next read instead of reading back as plausible
-// garbage. A block that was never written reads back as all zeros from the
+// garbage. The CRC of a block's k-th rewrite (k > 0) also covers k, the
+// block's write generation, which the reader takes from memory: a rewrite
+// torn within the prefix it shares with the previous version leaves that
+// older record intact, trailer and all, and without the generation it
+// would verify and read back as stale but plausible data. A block that was never written reads back as all zeros from the
 // sparse backend below; an all-zero record (zero payload, zero trailer) is
 // therefore the "unwritten" state and decodes to a zero block, preserving
 // the Backend contract.
@@ -54,9 +58,10 @@ type ChecksumBackend struct {
 	// set is authoritative; it lets a read distinguish "never written,
 	// zeros are correct" from "a write was issued here but nothing (or
 	// only a zero prefix) landed" — the torn write that would otherwise
-	// read back as plausible zeros.
+	// read back as plausible zeros. The value is the generation of the
+	// latest write issued to the block (0 for the first).
 	mu      sync.Mutex
-	written map[int64]struct{}
+	written map[int64]uint64
 }
 
 // NewChecksumBackend layers checksum verification over inner for logical
@@ -71,7 +76,7 @@ func NewChecksumBackend(inner Backend, blockSize int, stats *Stats) *ChecksumBac
 		blockSize: blockSize,
 		stats:     stats,
 		scratch:   NewFramePool(blockSize + checksumTrailerLen),
-		written:   make(map[int64]struct{}),
+		written:   make(map[int64]uint64),
 	}
 }
 
@@ -118,9 +123,10 @@ func (b *ChecksumBackend) ReadAtCat(p []byte, off int64, c Category) (int, error
 	magic := binary.LittleEndian.Uint32(buf[b.blockSize+4:])
 
 	block := off / int64(b.blockSize)
+	gen, written := b.generation(block)
 	switch {
 	case magic == checksumMagic:
-		if got := crc32.Checksum(payload, castagnoli); got != crc {
+		if got := recordCRC(payload, gen); got != crc {
 			b.countFailure(c)
 			return 0, &CorruptBlockError{Block: block,
 				Reason: fmt.Sprintf("crc32c mismatch: stored %08x, computed %08x", crc, got)}
@@ -128,7 +134,7 @@ func (b *ChecksumBackend) ReadAtCat(p []byte, off int64, c Category) (int, error
 		copy(p, payload)
 		return len(p), nil
 	case magic == 0 && crc == 0 && allZero(payload):
-		if b.wasWritten(block) {
+		if written {
 			// A write was issued here but no checksummed record landed:
 			// a torn write whose surviving prefix happens to be zeros.
 			b.countFailure(c)
@@ -160,26 +166,47 @@ func (b *ChecksumBackend) WriteAtCat(p []byte, off int64, c Category) (int, erro
 	buf := frame.Bytes()
 
 	copy(buf, p)
-	binary.LittleEndian.PutUint32(buf[b.blockSize:], crc32.Checksum(p, castagnoli))
+	gen := b.markWritten(off / int64(b.blockSize))
+	binary.LittleEndian.PutUint32(buf[b.blockSize:], recordCRC(p, gen))
 	binary.LittleEndian.PutUint32(buf[b.blockSize+4:], checksumMagic)
-	b.markWritten(off / int64(b.blockSize))
 	if _, err := writeAtCat(b.inner, buf, b.physOff(off), c); err != nil {
 		return 0, err
 	}
 	return len(p), nil
 }
 
-func (b *ChecksumBackend) markWritten(block int64) {
+// markWritten records a write issued to block and returns its generation.
+func (b *ChecksumBackend) markWritten(block int64) uint64 {
 	b.mu.Lock()
-	b.written[block] = struct{}{}
-	b.mu.Unlock()
+	defer b.mu.Unlock()
+	gen, ok := b.written[block]
+	if ok {
+		gen++
+	}
+	b.written[block] = gen
+	return gen
 }
 
-func (b *ChecksumBackend) wasWritten(block int64) bool {
+// generation returns the generation of the latest write issued to block,
+// and whether any was.
+func (b *ChecksumBackend) generation(block int64) (uint64, bool) {
 	b.mu.Lock()
-	_, ok := b.written[block]
+	gen, ok := b.written[block]
 	b.mu.Unlock()
-	return ok
+	return gen, ok
+}
+
+// recordCRC is the trailer CRC of a payload written at generation gen: the
+// plain CRC-32C of the payload for a block's first write, extended over
+// the little-endian generation for every rewrite.
+func recordCRC(payload []byte, gen uint64) uint32 {
+	crc := crc32.Checksum(payload, castagnoli)
+	if gen == 0 {
+		return crc
+	}
+	var g [8]byte
+	binary.LittleEndian.PutUint64(g[:], gen)
+	return crc32.Update(crc, castagnoli, g[:])
 }
 
 // Close closes the wrapped backend.

@@ -30,15 +30,6 @@ type Config struct {
 	// every setting (see the concurrency model in DESIGN.md).
 	Parallelism int
 
-	// CacheBlocks, when positive, carves that many blocks out of MemBlocks
-	// for a clean-frame LRU cache on the scratch device: repeat ReadBlocks
-	// of recently touched blocks are served from memory and surfaced as
-	// cache hits in Stats instead of costing block transfers. The cache is
-	// opt-in and defaults to 0 because it changes the read counts away from
-	// the paper's model; the sorters see a budget shrunk by CacheBlocks, so
-	// total memory stays within M (see DESIGN.md §10).
-	CacheBlocks int
-
 	// ReadAhead, when positive, reserves that many pipeline blocks for the
 	// device's read-ahead worker: sequential readers (StreamReader, and
 	// everything built on it — extsort merge legs, runstore) prefetch
@@ -64,28 +55,6 @@ type Config struct {
 	// is invariant under this knob too; flush errors surface at the
 	// submitter's next touch point with the usual typed taxonomy.
 	WriteBehind int
-
-	// MergeParallel, when positive, runs the external merge sort's final
-	// merge as up to that many independent loser trees over disjoint key
-	// ranges, dispatched on the worker pool, each writing its own segment
-	// of the output stream (DESIGN.md §17). Partition boundaries come from
-	// the per-run fence-key indexes (see FenceIndex), and splitters are
-	// chosen so that all records with equal keys land in one partition —
-	// which preserves the serial loser tree's run-index tie-break and makes
-	// the concatenated output byte-identical to the serial merge. The
-	// logical I/O ledger is invariant in this knob: every run block is
-	// still read exactly once and every output block written exactly once,
-	// at every partition count. 0 (the default) keeps the final merge on a
-	// single loser tree. Setting this implies FenceIndex.
-	MergeParallel int
-	// FenceIndex, when true, makes run formation emit a fence-key sparse
-	// index per run — the first normalized key of every run block, spilled
-	// as a tiny side stream (CatFenceIndex) through the same hardened
-	// backend stack as the runs. The index is what lets a merge partition
-	// runs by key range without scanning them; MergeParallel turns it on
-	// implicitly. Index I/O is charged to its own category and never to
-	// the run categories, so the paper-model counts are unchanged.
-	FenceIndex bool
 
 	// ScratchQuotaBlocks, when positive, caps the scratch device at that
 	// many blocks: a CapacityBackend under the hardening layers refuses
@@ -138,9 +107,6 @@ func (c Config) Validate() error {
 	if c.Parallelism < 0 {
 		return fmt.Errorf("em: negative parallelism %d", c.Parallelism)
 	}
-	if c.CacheBlocks < 0 {
-		return fmt.Errorf("em: negative cache size %d blocks", c.CacheBlocks)
-	}
 	if c.ScratchQuotaBlocks < 0 {
 		return fmt.Errorf("em: negative scratch quota %d blocks", c.ScratchQuotaBlocks)
 	}
@@ -149,13 +115,6 @@ func (c Config) Validate() error {
 	}
 	if c.WriteBehind < 0 {
 		return fmt.Errorf("em: negative write-behind %d blocks", c.WriteBehind)
-	}
-	if c.MergeParallel < 0 {
-		return fmt.Errorf("em: negative merge parallelism %d", c.MergeParallel)
-	}
-	if c.CacheBlocks > 0 && c.MemBlocks-c.CacheBlocks < 5 {
-		return fmt.Errorf("em: cache %d blocks leaves %d of %d for sorting (min 5)",
-			c.CacheBlocks, c.MemBlocks-c.CacheBlocks, c.MemBlocks)
 	}
 	return nil
 }
@@ -181,10 +140,6 @@ type Env struct {
 	// therefore run sequentially.
 	pool *Pool
 
-	// cacheGrant is the budget reservation backing the device's block
-	// cache (Conf.CacheBlocks), released on Close.
-	cacheGrant int
-
 	// asyncGrant is the budget reservation backing the async engine's
 	// frames (Conf.ReadAhead + Conf.WriteBehind), released on Close after
 	// the engine has drained and returned them to the pool.
@@ -208,12 +163,11 @@ func (e *Env) SpillCodecFramesLive() int {
 }
 
 // InfraGrantBlocks returns the budget blocks held by the environment's own
-// infrastructure — the block cache and the async engine — rather than by
-// the algorithm. These grants are taken at construction and live until
-// Close, so leak checks that run after an algorithm unwinds (but before
-// Close) subtract them: algorithm residency must be zero while the
-// environment's is by design.
-func (e *Env) InfraGrantBlocks() int { return e.cacheGrant + e.asyncGrant }
+// infrastructure — the async engine — rather than by the algorithm. This
+// grant is taken at construction and lives until Close, so leak checks
+// that run after an algorithm unwinds (but before Close) subtract it:
+// algorithm residency must be zero while the environment's is by design.
+func (e *Env) InfraGrantBlocks() int { return e.asyncGrant }
 
 // Parallelism returns the resolved parallelism level: Conf.Parallelism, or
 // GOMAXPROCS when that is zero.
@@ -302,15 +256,6 @@ func newEnv(cfg Config, life *Lifecycle) (*Env, error) {
 		pool:   NewPool(cfg.parallelism() - 1),
 		spill:  spill,
 	}
-	if cfg.CacheBlocks > 0 {
-		// The cache's residency comes out of M like any other buffer. Its
-		// frames are acquired lazily by the cache itself as blocks are
-		// inserted, but the grant is taken up front so the sorters' view of
-		// free memory is correct from the start.
-		budget.MustGrant(cfg.CacheBlocks)
-		env.cacheGrant = cfg.CacheBlocks
-		dev.EnableCache(cfg.CacheBlocks)
-	}
 	if asyncDepth > 0 {
 		budget.MustGrant(asyncDepth)
 		env.asyncGrant = asyncDepth
@@ -365,15 +310,10 @@ func hardenStack(backend Backend, cfg Config, stats *Stats, life *Lifecycle) (Ba
 	return backend, spill
 }
 
-// Close releases the scratch device (draining the async engine, dropping
-// any cached frames) and returns the cache's and the engine's budget
-// grants.
+// Close releases the scratch device (draining the async engine) and
+// returns the engine's budget grant.
 func (e *Env) Close() error {
 	err := e.Dev.Close()
-	if e.cacheGrant > 0 {
-		e.Budget.Release(e.cacheGrant)
-		e.cacheGrant = 0
-	}
 	if e.asyncGrant > 0 {
 		e.Budget.Release(e.asyncGrant)
 		e.asyncGrant = 0

@@ -118,6 +118,45 @@ func TestChecksumDetectsTornWriteToZeros(t *testing.T) {
 	}
 }
 
+func TestChecksumDetectsLostRewrite(t *testing.T) {
+	// A rewrite torn within the prefix it shares with the block's previous
+	// version leaves the old record, trailer and all, exactly as it was.
+	// Only the write generation tells the stale record from the new one.
+	inner := NewMemBackend()
+	cb := NewChecksumBackend(inner, hbs, nil)
+	v1 := fillBlock(5)
+	if _, err := cb.WriteAtCat(v1, 0, CatScratch); err != nil {
+		t.Fatal(err)
+	}
+	rec := make([]byte, hbs+checksumTrailerLen)
+	if _, err := inner.ReadAt(rec, 0); err != nil {
+		t.Fatal(err)
+	}
+	v2 := fillBlock(5)
+	v2[hbs-1] ^= 0xff // same prefix, different tail
+	if _, err := cb.WriteAtCat(v2, 0, CatScratch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inner.WriteAt(rec, 0); err != nil { // the rewrite never landed
+		t.Fatal(err)
+	}
+	got := make([]byte, hbs)
+	if _, err := cb.ReadAtCat(got, 0, CatScratch); !errors.Is(err, ErrCorruptBlock) {
+		t.Fatalf("stale record read error = %v, want ErrCorruptBlock", err)
+	}
+
+	// A rewrite that does land reads back as written.
+	if _, err := cb.WriteAtCat(v2, 0, CatScratch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cb.ReadAtCat(got, 0, CatScratch); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, v2) {
+		t.Error("rewritten block round trip mismatch")
+	}
+}
+
 func TestChecksumRejectsUnalignedAccess(t *testing.T) {
 	cb := NewChecksumBackend(NewMemBackend(), hbs, nil)
 	if _, err := cb.ReadAtCat(make([]byte, hbs), 13, CatScratch); err == nil {

@@ -41,8 +41,6 @@ type Stats struct {
 	physWB   [numCategories]atomic.Int64
 	retries  [numCategories]atomic.Int64
 	ckFails  [numCategories]atomic.Int64
-	cacheHit [numCategories]atomic.Int64
-	cacheMis [numCategories]atomic.Int64
 	canceled [numCategories]atomic.Int64
 	exhaust  [numCategories]atomic.Int64
 	// Overlap-pipeline counters (DESIGN.md §15). These describe the async
@@ -53,13 +51,6 @@ type Stats struct {
 	prefHit   [numCategories]atomic.Int64
 	prefWaste [numCategories]atomic.Int64
 	flushStal [numCategories]atomic.Int64
-	// Partitioned-merge counters (DESIGN.md §17). They describe the
-	// range-partitioned final merge — how many merges took the partitioned
-	// path and how many fence-key samples fed splitter selection — and are
-	// never folded into the logical Reads/Writes ledger: a partitioned
-	// merge moves exactly the blocks the serial loser tree would.
-	pmerges   [numCategories]atomic.Int64
-	splitSamp [numCategories]atomic.Int64
 }
 
 // NewStats returns an empty Stats.
@@ -105,17 +96,6 @@ func (s *Stats) AddRetries(c Category, n int64) { s.retries[c].Add(n) }
 // under category c.
 func (s *Stats) AddChecksumFailures(c Category, n int64) { s.ckFails[c].Add(n) }
 
-// AddCacheHits records n ReadBlocks served from the clean-frame cache under
-// category c. A hit costs no block transfer, so it is deliberately NOT
-// counted in Reads — the reads counters keep their paper meaning of actual
-// block transfers.
-func (s *Stats) AddCacheHits(c Category, n int64) { s.cacheHit[c].Add(n) }
-
-// AddCacheMisses records n ReadBlocks that went to the backend despite the
-// cache being enabled, under category c. Hits+misses equals the ReadBlock
-// call count on a cached device.
-func (s *Stats) AddCacheMisses(c Category, n int64) { s.cacheMis[c].Add(n) }
-
 // AddCanceled records n block operations the Device refused because the
 // run's lifecycle had ended (cancellation or deadline), under category c.
 // A refused operation performs no transfer, so it is never also counted in
@@ -143,17 +123,6 @@ func (s *Stats) AddPrefetchWasted(c Category, n int64) { s.prefWaste[c].Add(n) }
 // pipeline depth was the bottleneck; the write itself is charged once, by
 // the flusher, when it executes.
 func (s *Stats) AddFlushStalls(c Category, n int64) { s.flushStal[c].Add(n) }
-
-// AddPartitionedMerges records n merges that ran as range-partitioned
-// loser-tree fans under category c. Charged once per merge, never per
-// partition, so the counter is invariant in Config.MergeParallel.
-func (s *Stats) AddPartitionedMerges(c Category, n int64) { s.pmerges[c].Add(n) }
-
-// AddSplitterSamples records n fence-key samples fed into splitter
-// selection under category c. Every partitioned merge reads every input
-// run's full fence index regardless of the partition count, so this too is
-// invariant in Config.MergeParallel.
-func (s *Stats) AddSplitterSamples(c Category, n int64) { s.splitSamp[c].Add(n) }
 
 // Reads returns the number of block reads recorded under category c.
 func (s *Stats) Reads(c Category) int64 { return s.reads[c].Load() }
@@ -332,58 +301,6 @@ func (s *Stats) TotalFlushStalls() int64 {
 	return t
 }
 
-// PartitionedMerges returns the range-partitioned merges recorded under
-// category c.
-func (s *Stats) PartitionedMerges(c Category) int64 { return s.pmerges[c].Load() }
-
-// SplitterSamples returns the fence-key splitter samples recorded under
-// category c.
-func (s *Stats) SplitterSamples(c Category) int64 { return s.splitSamp[c].Load() }
-
-// TotalPartitionedMerges returns range-partitioned merges across all
-// categories.
-func (s *Stats) TotalPartitionedMerges() int64 {
-	var t int64
-	for i := range s.pmerges {
-		t += s.pmerges[i].Load()
-	}
-	return t
-}
-
-// TotalSplitterSamples returns fence-key splitter samples across all
-// categories.
-func (s *Stats) TotalSplitterSamples() int64 {
-	var t int64
-	for i := range s.splitSamp {
-		t += s.splitSamp[i].Load()
-	}
-	return t
-}
-
-// CacheHits returns the cache hits recorded under category c.
-func (s *Stats) CacheHits(c Category) int64 { return s.cacheHit[c].Load() }
-
-// CacheMisses returns the cache misses recorded under category c.
-func (s *Stats) CacheMisses(c Category) int64 { return s.cacheMis[c].Load() }
-
-// TotalCacheHits returns cache hits across all categories.
-func (s *Stats) TotalCacheHits() int64 {
-	var t int64
-	for i := range s.cacheHit {
-		t += s.cacheHit[i].Load()
-	}
-	return t
-}
-
-// TotalCacheMisses returns cache misses across all categories.
-func (s *Stats) TotalCacheMisses() int64 {
-	var t int64
-	for i := range s.cacheMis {
-		t += s.cacheMis[i].Load()
-	}
-	return t
-}
-
 // Reset zeroes every counter. Not for concurrent use with in-flight I/O.
 func (s *Stats) Reset() {
 	for i := 0; i < int(numCategories); i++ {
@@ -397,15 +314,11 @@ func (s *Stats) Reset() {
 		s.physWB[i].Store(0)
 		s.retries[i].Store(0)
 		s.ckFails[i].Store(0)
-		s.cacheHit[i].Store(0)
-		s.cacheMis[i].Store(0)
 		s.canceled[i].Store(0)
 		s.exhaust[i].Store(0)
 		s.prefHit[i].Store(0)
 		s.prefWaste[i].Store(0)
 		s.flushStal[i].Store(0)
-		s.pmerges[i].Store(0)
-		s.splitSamp[i].Store(0)
 	}
 }
 
@@ -415,25 +328,21 @@ func (s *Stats) Snapshot() map[string]IOCount {
 	out := make(map[string]IOCount)
 	for i := 0; i < int(numCategories); i++ {
 		c := IOCount{
-			Reads:             s.reads[i].Load(),
-			Writes:            s.writes[i].Load(),
-			ReadBytes:         s.readB[i].Load(),
-			WriteBytes:        s.writeB[i].Load(),
-			PhysReads:         s.physR[i].Load(),
-			PhysWrites:        s.physW[i].Load(),
-			PhysReadBytes:     s.physRB[i].Load(),
-			PhysWriteBytes:    s.physWB[i].Load(),
-			Retries:           s.retries[i].Load(),
-			ChecksumFailures:  s.ckFails[i].Load(),
-			CacheHits:         s.cacheHit[i].Load(),
-			CacheMisses:       s.cacheMis[i].Load(),
-			Canceled:          s.canceled[i].Load(),
-			Exhausted:         s.exhaust[i].Load(),
-			PrefetchHits:      s.prefHit[i].Load(),
-			PrefetchWasted:    s.prefWaste[i].Load(),
-			FlushStalls:       s.flushStal[i].Load(),
-			PartitionedMerges: s.pmerges[i].Load(),
-			SplitterSamples:   s.splitSamp[i].Load(),
+			Reads:            s.reads[i].Load(),
+			Writes:           s.writes[i].Load(),
+			ReadBytes:        s.readB[i].Load(),
+			WriteBytes:       s.writeB[i].Load(),
+			PhysReads:        s.physR[i].Load(),
+			PhysWrites:       s.physW[i].Load(),
+			PhysReadBytes:    s.physRB[i].Load(),
+			PhysWriteBytes:   s.physWB[i].Load(),
+			Retries:          s.retries[i].Load(),
+			ChecksumFailures: s.ckFails[i].Load(),
+			Canceled:         s.canceled[i].Load(),
+			Exhausted:        s.exhaust[i].Load(),
+			PrefetchHits:     s.prefHit[i].Load(),
+			PrefetchWasted:   s.prefWaste[i].Load(),
+			FlushStalls:      s.flushStal[i].Load(),
 		}
 		if c == (IOCount{}) {
 			continue
@@ -469,12 +378,6 @@ type IOCount struct {
 	// ChecksumFailures counts blocks whose stored checksum did not match
 	// on read; zero unless the device corrupted data.
 	ChecksumFailures int64
-	// CacheHits counts ReadBlocks served from the clean-frame cache (no
-	// block transfer); zero unless Config.CacheBlocks > 0.
-	CacheHits int64
-	// CacheMisses counts ReadBlocks that reached the backend with the
-	// cache enabled; zero unless Config.CacheBlocks > 0.
-	CacheMisses int64
 	// Canceled counts block operations the Device refused after the run's
 	// lifecycle ended; zero on an uncanceled run.
 	Canceled int64
@@ -492,15 +395,6 @@ type IOCount struct {
 	// FlushStalls counts write-behind submissions that waited on a full
 	// flush queue. Zero unless Config.WriteBehind > 0.
 	FlushStalls int64
-	// PartitionedMerges counts merges that ran as range-partitioned
-	// loser-tree fans (one per merge, not per partition); never a block
-	// transfer. Zero unless Config.MergeParallel > 0.
-	PartitionedMerges int64
-	// SplitterSamples counts fence-key samples fed into splitter
-	// selection; invariant in the partition count because every
-	// partitioned merge reads every input fence index in full. Zero
-	// unless Config.MergeParallel > 0.
-	SplitterSamples int64
 }
 
 // Total returns reads+writes.
@@ -530,17 +424,11 @@ func (s *Stats) String() string {
 		if c.ChecksumFailures > 0 {
 			fmt.Fprintf(&b, " ckfail=%d", c.ChecksumFailures)
 		}
-		if c.CacheHits > 0 || c.CacheMisses > 0 {
-			fmt.Fprintf(&b, " hit=%d miss=%d", c.CacheHits, c.CacheMisses)
-		}
 		if c.PrefetchHits > 0 || c.PrefetchWasted > 0 {
 			fmt.Fprintf(&b, " pref=%d waste=%d", c.PrefetchHits, c.PrefetchWasted)
 		}
 		if c.FlushStalls > 0 {
 			fmt.Fprintf(&b, " stall=%d", c.FlushStalls)
-		}
-		if c.PartitionedMerges > 0 || c.SplitterSamples > 0 {
-			fmt.Fprintf(&b, " pmerge=%d samp=%d", c.PartitionedMerges, c.SplitterSamples)
 		}
 		if c.Canceled > 0 {
 			fmt.Fprintf(&b, " canceled=%d", c.Canceled)

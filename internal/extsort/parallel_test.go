@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nexsort/internal/em"
@@ -67,10 +68,12 @@ func collect(t *testing.T, it *Iterator) []string {
 
 // TestParallelRunFormationMatchesSequential pins the engine's determinism
 // contract directly: same records in, byte-identical sequence out, same run
-// structure, at any parallelism.
+// structure and same per-category ledger, at any parallelism. Fan-in 3
+// over about 40 initial runs takes several merge passes, so the pooled
+// dispatch of intermediate merge groups (mergePass) is covered too.
 func TestParallelRunFormationMatchesSequential(t *testing.T) {
 	const records = 2000
-	run := func(parallelism int) ([]string, Stats) {
+	run := func(parallelism int) ([]string, Stats, map[string]em.IOCount) {
 		env, _ := poolEnv(t, 64, parallelism)
 		s, err := New(env, em.CatMergeRun, bytesCompare, 4)
 		if err != nil {
@@ -85,17 +88,20 @@ func TestParallelRunFormationMatchesSequential(t *testing.T) {
 			t.Fatalf("parallelism=%d: %v", parallelism, err)
 		}
 		defer it.Close()
-		return collect(t, it), s.Stats()
+		return collect(t, it), s.Stats(), env.Stats.Snapshot()
 	}
 
-	wantOut, wantStats := run(1)
-	if !wantStats.Spilled {
-		t.Fatal("sequential run never spilled; the test exercises nothing")
+	wantOut, wantStats, wantIOs := run(1)
+	if wantStats.MergePasses < 2 {
+		t.Fatalf("sequential run took %d merge passes; want at least 2 so intermediate passes are covered", wantStats.MergePasses)
 	}
 	for _, p := range []int{2, 8} {
-		out, stats := run(p)
+		out, stats, ios := run(p)
 		if stats != wantStats {
 			t.Errorf("parallelism=%d: stats %+v, sequential %+v", p, stats, wantStats)
+		}
+		if !reflect.DeepEqual(ios, wantIOs) {
+			t.Errorf("parallelism=%d: ledger %v, sequential %v", p, ios, wantIOs)
 		}
 		if len(out) != len(wantOut) {
 			t.Fatalf("parallelism=%d: %d records, sequential %d", p, len(out), len(wantOut))

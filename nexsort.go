@@ -177,12 +177,6 @@ type Config struct {
 	// and the per-category block-transfer counts are identical at every
 	// setting — parallelism buys wall-clock time only.
 	Parallelism int
-	// CacheBlocks carves this many blocks out of the memory budget for a
-	// clean-frame LRU cache on the scratch device: repeat reads of
-	// recently touched spill blocks are served from memory and reported
-	// as cache hits instead of block transfers. Default 0 (off), which
-	// keeps the counted I/Os exactly the paper's model.
-	CacheBlocks int
 	// ScratchQuotaBlocks caps the scratch device at this many blocks.
 	// Writes past the quota fail with ErrScratchExhausted (IsExhausted);
 	// as the device approaches the cap the sorters degrade gracefully
@@ -217,22 +211,6 @@ type Config struct {
 	// exhaustion) surface at the next operation on the same stream with
 	// the usual typed taxonomy. Default 0: synchronous writes.
 	WriteBehind int
-	// MergeParallel range-partitions the final merge of every external
-	// sort into up to this many key ranges, merged concurrently on the
-	// worker pool and concatenated in key order (DESIGN.md §17). Implies
-	// FenceIndex. The sorted output is byte-identical and the counted
-	// logical block transfers per category are identical at every
-	// setting > 0 — and identical to the serial merge except for the
-	// fence-index side stream's own small category, so like Parallelism
-	// it buys wall-clock time only. Default 0: the serial single-tree
-	// final merge, the paper's model.
-	MergeParallel int
-	// FenceIndex emits a fence-key sparse index beside every spilled run
-	// (the first normalized key of each run block, stored as a tiny
-	// compressed side stream): the machinery MergeParallel partitions
-	// with. On its own it adds the index streams without changing the
-	// merge. Default off.
-	FenceIndex bool
 }
 
 // Defaults for Config.
@@ -267,13 +245,10 @@ func (c Config) normalize() (em.Config, error) {
 		VerifyChecksums:    c.VerifyChecksums,
 		Retry:              c.Retry,
 		Parallelism:        c.Parallelism,
-		CacheBlocks:        c.CacheBlocks,
 		ScratchQuotaBlocks: c.ScratchQuotaBlocks,
 		CompressSpill:      c.CompressSpill,
 		ReadAhead:          c.ReadAhead,
 		WriteBehind:        c.WriteBehind,
-		MergeParallel:      c.MergeParallel,
-		FenceIndex:         c.FenceIndex,
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, err

@@ -2,12 +2,14 @@ package nexsort_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"nexsort/internal/core"
 	"nexsort/internal/em"
 	"nexsort/internal/em/chaostest"
+	"nexsort/internal/extsort"
 	"nexsort/internal/keys"
 )
 
@@ -114,6 +116,89 @@ func TestParallelDifferential(t *testing.T) {
 	}
 }
 
+// TestParallelDifferentialSweep is the small-M, high-P corner of the
+// differential suite, where worker admission is tightest. It sweeps every
+// memory budget from each sorter's minimum to minimum+8 blocks, a spread
+// of thresholds and depth limits, and P ∈ {1, 2, 4, 8}, over several
+// generated documents. Every run must succeed, release its whole budget,
+// and match the P = 1 run's output bytes and full Stats snapshot. A worker
+// admitted against the wrong free count leaves the main goroutine short of
+// a block, and the run fails with ErrBudgetExceeded.
+func TestParallelDifferentialSweep(t *testing.T) {
+	crit := keys.ByAttrOrTag("key")
+	docSeeds := []int64{1, 2, 3, 4, 5, 6}
+	if testing.Short() {
+		docSeeds = docSeeds[:2]
+	}
+	levels := []int{1, 2, 4, 8}
+	depths := []int{0, 1, 3}
+	sorters := []struct {
+		algo       chaostest.Algorithm
+		minMem     int
+		thresholds []int // NEXSORT's sort threshold in bytes; merge sort has none
+	}{
+		{chaostest.Nexsort, core.MinMemBlocks, []int{1, 96, 384}},
+		{chaostest.MergeSort, 5, []int{0}},
+	}
+	for _, seed := range docSeeds {
+		doc, _, err := chaostest.Doc(150, 6, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range sorters {
+			for mem := st.minMem; mem <= st.minMem+8; mem++ {
+				for _, thr := range st.thresholds {
+					for _, depth := range depths {
+						name := fmt.Sprintf("%v seed=%d M=%d thr=%d depth=%d", st.algo, seed, mem, thr, depth)
+						var base []byte
+						var baseIOs map[string]em.IOCount
+						for _, p := range levels {
+							out, ios, err := sweepSort(st.algo, doc, crit, mem, p, thr, depth)
+							if err != nil {
+								t.Fatalf("%s P=%d: %v", name, p, err)
+							}
+							if p == 1 {
+								base, baseIOs = out, ios
+								continue
+							}
+							if !bytes.Equal(out, base) {
+								t.Errorf("%s P=%d: output differs from the P=1 run", name, p)
+							}
+							if !reflect.DeepEqual(ios, baseIOs) {
+								t.Errorf("%s P=%d: ledger differs from the P=1 run\nP=1: %v\nP=%d: %v", name, p, baseIOs, p, ios)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sweepSort runs one sorter at B = 128 with the given budget, parallelism,
+// threshold and depth limit, and returns its output and ledger. A leaked
+// budget block is an error.
+func sweepSort(algo chaostest.Algorithm, doc []byte, crit *keys.Criterion, memBlocks, p, threshold, depth int) ([]byte, map[string]em.IOCount, error) {
+	env, err := em.NewEnv(em.Config{BlockSize: 128, MemBlocks: memBlocks, Parallelism: p})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer env.Close()
+	var out bytes.Buffer
+	if algo == chaostest.Nexsort {
+		_, err = core.Sort(env, bytes.NewReader(doc), &out, core.Options{Criterion: crit, Threshold: threshold, DepthLimit: depth})
+	} else {
+		_, err = extsort.SortXML(env, crit, bytes.NewReader(doc), &out, extsort.XMLOptions{DepthLimit: depth})
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if n := env.Budget.InUse(); n != 0 {
+		return nil, nil, fmt.Errorf("leaked %d budget blocks", n)
+	}
+	return out.Bytes(), env.Stats.Snapshot(), nil
+}
+
 // TestCompressedSpillConformance is the spill-format counterpart of the
 // differential suite: compression is a representation change below the
 // block abstraction, so with it on vs. off — at every parallelism level —
@@ -137,7 +222,6 @@ func TestCompressedSpillConformance(t *testing.T) {
 			out[k] = em.IOCount{
 				Reads: c.Reads, Writes: c.Writes,
 				ReadBytes: c.ReadBytes, WriteBytes: c.WriteBytes,
-				CacheHits: c.CacheHits, CacheMisses: c.CacheMisses,
 			}
 		}
 		return out
@@ -184,116 +268,6 @@ func TestCompressedSpillConformance(t *testing.T) {
 				if compB == 0 || compB*2 > plainB {
 					t.Errorf("parallelism=%d: physical spill write bytes %d vs %d uncompressed; want at least a 2x reduction",
 						p, compB, plainB)
-				}
-			}
-		})
-	}
-}
-
-// TestPartitionedMergeConformance is the range-partitioned-merge axis of
-// the differential suite (DESIGN.md §17): partitioning the final merge by
-// key range is a wall-clock optimization and nothing else. Against the
-// plain serial sorter the output bytes must be identical and every
-// logical ledger category except the fence-index side stream must be
-// untouched; across partition counts the whole logical ledger — fence
-// reads, splitter samples and partitioned-merge counts included — must
-// not move at all, with or without spill compression, at pipeline depths
-// 0 and 8. The merge-sort trials separately assert that a partitioned
-// merge actually ran, so the invariance is never vacuously true.
-func TestPartitionedMergeConformance(t *testing.T) {
-	doc, _, err := chaostest.Doc(300, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crit := keys.ByAttrOrTag("key")
-	depths := []struct{ ra, wb int }{{0, 0}, {8, 8}}
-
-	// logical projects a snapshot onto the counters that must be invariant
-	// across partition counts: the logical block ledger plus the
-	// partitioned-merge bookkeeping. The overlap counters are the
-	// pipeline's own traffic and PrefetchWasted legitimately varies with
-	// where the planner's scans end, so they are projected out.
-	logical := func(snap map[string]em.IOCount) map[string]em.IOCount {
-		out := make(map[string]em.IOCount, len(snap))
-		for k, c := range snap {
-			out[k] = em.IOCount{
-				Reads: c.Reads, Writes: c.Writes,
-				ReadBytes: c.ReadBytes, WriteBytes: c.WriteBytes,
-				CacheHits: c.CacheHits, CacheMisses: c.CacheMisses,
-				PartitionedMerges: c.PartitionedMerges,
-				SplitterSamples:   c.SplitterSamples,
-			}
-		}
-		return out
-	}
-	// sansFence drops the fence-index category and the partitioned-merge
-	// bookkeeping: what remains must match the plain serial sorter's
-	// ledger exactly — partitioning may add its side stream but may not
-	// move a single run or output block transfer.
-	sansFence := func(snap map[string]em.IOCount) map[string]em.IOCount {
-		out := make(map[string]em.IOCount, len(snap))
-		for k, c := range snap {
-			if k == em.CatFenceIndex.String() {
-				continue
-			}
-			c.PartitionedMerges, c.SplitterSamples = 0, 0
-			out[k] = c
-		}
-		return out
-	}
-
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "compressed"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, algo := range chaostest.Algorithms {
-				for _, d := range depths {
-					env := diffEnv(24, 2)
-					env.CompressSpill = compress
-					env.ReadAhead, env.WriteBehind = d.ra, d.wb
-					serial := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
-					if serial.PanicValue != nil || serial.Err != nil {
-						t.Fatalf("%v ra=%d wb=%d serial: panic=%v err=%v", algo, d.ra, d.wb, serial.PanicValue, serial.Err)
-					}
-					serialIOs := logical(serial.Stats.Snapshot())
-
-					var baseIOs map[string]em.IOCount // partitioned ledger at P=1
-					for _, p := range parallelLevels {
-						env := diffEnv(24, 2)
-						env.CompressSpill = compress
-						env.ReadAhead, env.WriteBehind = d.ra, d.wb
-						env.MergeParallel = p
-						o := chaostest.Run(doc, crit, chaostest.Trial{Algorithm: algo, Env: env})
-						if o.PanicValue != nil {
-							t.Fatalf("%v ra=%d wb=%d P=%d: panic: %v", algo, d.ra, d.wb, p, o.PanicValue)
-						}
-						if o.Err != nil {
-							t.Fatalf("%v ra=%d wb=%d P=%d: %v", algo, d.ra, d.wb, p, o.Err)
-						}
-						if o.BudgetInUse != 0 || o.FramesLive != 0 {
-							t.Errorf("%v ra=%d wb=%d P=%d: leaked %d budget blocks, %d frames",
-								algo, d.ra, d.wb, p, o.BudgetInUse, o.FramesLive)
-						}
-						if !bytes.Equal(o.Output, serial.Output) {
-							t.Errorf("%v ra=%d wb=%d P=%d: output differs from the serial merge", algo, d.ra, d.wb, p)
-						}
-						got := logical(o.Stats.Snapshot())
-						if algo == chaostest.MergeSort && o.Stats.TotalPartitionedMerges() == 0 {
-							t.Errorf("%v ra=%d wb=%d P=%d: no partitioned merge ran — the conformance check is vacuous", algo, d.ra, d.wb, p)
-						}
-						if baseIOs == nil {
-							baseIOs = got
-						} else if !reflect.DeepEqual(got, baseIOs) {
-							t.Errorf("%v ra=%d wb=%d P=%d: partition count moved the logical ledger\nP=1: %v\nP=%d: %v",
-								algo, d.ra, d.wb, p, baseIOs, p, got)
-						}
-						if gotSerial := sansFence(got); !reflect.DeepEqual(gotSerial, serialIOs) {
-							t.Errorf("%v ra=%d wb=%d P=%d: partitioning moved the non-fence ledger\nserial:      %v\npartitioned: %v",
-								algo, d.ra, d.wb, p, serialIOs, gotSerial)
-						}
-					}
 				}
 			}
 		})
@@ -379,7 +353,6 @@ func TestOverlapPipelineConformance(t *testing.T) {
 			out[k] = em.IOCount{
 				Reads: c.Reads, Writes: c.Writes,
 				ReadBytes: c.ReadBytes, WriteBytes: c.WriteBytes,
-				CacheHits: c.CacheHits, CacheMisses: c.CacheMisses,
 			}
 		}
 		return out
