@@ -102,18 +102,25 @@ func (c *CountingReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ReadByte implements io.ByteReader.
-func (c *CountingReader) ReadByte() (byte, error) {
+// Window returns the frame's unconsumed bytes, refilling the frame when
+// none are left; the slice is non-empty unless the error is set. It stays
+// valid until the next Window or Read call. With Consume it lets a
+// tokenizer scan the frame in place (xmltok.NewParser).
+func (c *CountingReader) Window() ([]byte, error) {
 	if c.closed {
-		return 0, fmt.Errorf("em: read from closed CountingReader")
+		return nil, fmt.Errorf("em: read from closed CountingReader")
 	}
 	if err := c.fill(); err != nil {
-		return 0, err
+		return nil, err
 	}
-	b := c.buf[c.start]
-	c.start++
-	c.charge(1)
-	return b, nil
+	return c.buf[c.start:c.end], nil
+}
+
+// Consume marks the first n bytes of the current window as read and
+// charges them.
+func (c *CountingReader) Consume(n int) {
+	c.start += n
+	c.charge(n)
 }
 
 // Finish charges the final partial block, if any. Call once at end of scan.

@@ -369,11 +369,12 @@ func TestCountingReaderByteAtATime(t *testing.T) {
 	cr := NewCountingReader(strings.NewReader("hello!"), d, CatInput)
 	defer cr.Close()
 	for i := 0; i < 6; i++ {
-		if _, err := cr.ReadByte(); err != nil {
+		if _, err := cr.Window(); err != nil {
 			t.Fatal(err)
 		}
+		cr.Consume(1)
 	}
-	if _, err := cr.ReadByte(); err != io.EOF {
+	if _, err := cr.Window(); err != io.EOF {
 		t.Errorf("want EOF, got %v", err)
 	}
 	cr.Finish()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -274,6 +275,78 @@ func TestKindString(t *testing.T) {
 	} {
 		if k.String() != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, k.String(), want)
+		}
+	}
+}
+
+// TestParserSkipsInConstantSpace: a skipped comment or processing
+// instruction is scanned for its terminator, not collected, so an 8 MiB
+// one costs the parser no memory in proportion to its length.
+func TestParserSkipsInConstantSpace(t *testing.T) {
+	body := strings.Repeat("x", 8<<20)
+	for _, doc := range []string{"<a><!--" + body + "--></a>", "<a><?pi " + body + "?></a>"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := parseAll(t, doc, DefaultParserOptions())
+		runtime.ReadMemStats(&after)
+		if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+			t.Errorf("%.10s…: TotalAlloc grew %d bytes, want < 1 MiB", doc, grown)
+		}
+		want := []Token{{Kind: KindStart, Name: "a"}, {Kind: KindEnd, Name: "a"}}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%.10s…: tokens %v, want %v", doc, got, want)
+		}
+	}
+}
+
+// TestParserConsumesTokenBytes: after every Next the source has consumed
+// exactly the bytes up to the end of the returned token, whatever the
+// window sizes, so counted input (CatInput charges, InputBytes) does not
+// depend on how far the parser looked ahead.
+func TestParserConsumesTokenBytes(t *testing.T) {
+	// Each piece ends where its last token ends; toks is how many tokens
+	// the piece yields under the default options.
+	pieces := []struct {
+		text string
+		toks int
+	}{
+		{"<?xml version=\"1.0\"?>\n<!-- c -->\n<root a=\"1\" bb='x&amp;y'>", 1},
+		{"\n  <item key=\"k1\">", 1},
+		{"text &lt; more", 1},
+		{"</item>", 1},
+		{"\n  <empty/>", 2},
+		{"<![CDATA[raw]]>", 1},
+		{"<?pi x?><!-- y --></root>", 1},
+	}
+	var doc string
+	var ends []int // consumed total expected after each token
+	for _, pc := range pieces {
+		doc += pc.text
+		for i := 0; i < pc.toks; i++ {
+			ends = append(ends, len(doc))
+		}
+	}
+	rootEnd := len(doc)
+	doc += "\n\n  "
+	for _, size := range []int{1, 2, 3, 5, 7, 4096} {
+		src := &windowReader{data: []byte(doc), sizes: []int{size}}
+		p := NewParser(src, DefaultParserOptions())
+		for i, end := range ends {
+			if _, err := p.Next(); err != nil {
+				t.Fatalf("size %d: token %d: %v", size, i, err)
+			}
+			if src.consumed != end {
+				t.Errorf("size %d: after token %d consumed %d bytes, want %d", size, i, src.consumed, end)
+			}
+		}
+		if src.consumed != rootEnd {
+			t.Errorf("size %d: after the root's end tag consumed %d bytes, want %d (not the document's %d)", size, src.consumed, rootEnd, len(doc))
+		}
+		if _, err := p.Next(); err != io.EOF {
+			t.Fatalf("size %d: after the root: %v, want EOF", size, err)
+		}
+		if src.consumed != len(doc) || src.overrun {
+			t.Errorf("size %d: at EOF consumed %d of %d bytes (overrun %v)", size, src.consumed, len(doc), src.overrun)
 		}
 	}
 }

@@ -3,21 +3,23 @@ package xmltok
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
 // Writer serializes a token stream back into a textual XML document. It
 // tracks nesting so that optional indentation is correct, and escapes text
-// and attribute values so that Parse(Write(tokens)) round-trips.
+// and attribute values so that Parse(Write(tokens)) round-trips. Each
+// token is built in one reused buffer and reaches the underlying writer
+// as a single Write.
 type Writer struct {
 	w      io.Writer
 	indent string // per-level indentation; empty means compact output
 	depth  int
-	// lastWasStart tracks whether the previous token opened an element,
-	// so indented output can collapse <a>text</a> onto one line.
+	// lastKind and textInRow let indented output collapse <a>text</a>
+	// onto one line.
 	lastKind  Kind
 	wroteAny  bool
 	textInRow bool
+	buf       []byte
 	err       error
 }
 
@@ -29,11 +31,14 @@ func NewIndentWriter(w io.Writer, indent string) *Writer {
 	return &Writer{w: w, indent: indent, lastKind: KindEnd}
 }
 
-func (w *Writer) print(s string) {
-	if w.err != nil {
-		return
+// flush writes the buffered token and resets the buffer, dropping it when
+// one long token grew it past a block.
+func (w *Writer) flush() {
+	_, w.err = w.w.Write(w.buf)
+	w.buf = w.buf[:0]
+	if cap(w.buf) > scratchKeep {
+		w.buf = nil
 	}
-	_, w.err = io.WriteString(w.w, s)
 }
 
 func (w *Writer) newlineIndent(depth int) {
@@ -41,9 +46,11 @@ func (w *Writer) newlineIndent(depth int) {
 		return
 	}
 	if w.wroteAny {
-		w.print("\n")
+		w.buf = append(w.buf, '\n')
 	}
-	w.print(strings.Repeat(w.indent, depth))
+	for i := 0; i < depth; i++ {
+		w.buf = append(w.buf, w.indent...)
+	}
 }
 
 // WriteToken appends one token to the document. Run-pointer tokens are
@@ -56,16 +63,16 @@ func (w *Writer) WriteToken(t Token) error {
 	switch t.Kind {
 	case KindStart:
 		w.newlineIndent(w.depth)
-		w.print("<")
-		w.print(t.Name)
+		w.buf = append(w.buf, '<')
+		w.buf = append(w.buf, t.Name...)
 		for _, a := range t.Attrs {
-			w.print(" ")
-			w.print(a.Name)
-			w.print(`="`)
-			w.print(escapeAttr(a.Value))
-			w.print(`"`)
+			w.buf = append(w.buf, ' ')
+			w.buf = append(w.buf, a.Name...)
+			w.buf = append(w.buf, '=', '"')
+			w.buf = appendEscaped(w.buf, a.Value, true)
+			w.buf = append(w.buf, '"')
 		}
-		w.print(">")
+		w.buf = append(w.buf, '>')
 		w.depth++
 	case KindEnd:
 		w.depth--
@@ -74,19 +81,18 @@ func (w *Writer) WriteToken(t Token) error {
 		}
 		// Keep </a> on the same line when the element contained only
 		// text (or nothing).
-		if w.lastKind == KindStart || w.textInRow {
-			// inline close
-		} else {
+		if w.lastKind != KindStart && !w.textInRow {
 			w.newlineIndent(w.depth)
 		}
-		w.print("</")
-		w.print(t.Name)
-		w.print(">")
+		w.buf = append(w.buf, '<', '/')
+		w.buf = append(w.buf, t.Name...)
+		w.buf = append(w.buf, '>')
 	case KindText:
-		w.print(escapeText(t.Text))
+		w.buf = appendEscaped(w.buf, t.Text, false)
 	default:
 		return fmt.Errorf("xmltok: cannot serialize %v token", t.Kind)
 	}
+	w.flush()
 	w.textInRow = t.Kind == KindText
 	w.lastKind = t.Kind
 	w.wroteAny = true
@@ -106,15 +112,39 @@ func (w *Writer) Close() error {
 		return fmt.Errorf("xmltok: document closed with %d open elements", w.depth)
 	}
 	if w.indent != "" && w.wroteAny {
-		w.print("\n")
+		w.buf = append(w.buf, '\n')
+		w.flush()
 	}
 	return w.err
 }
 
-var (
-	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-)
-
-func escapeText(s string) string { return textEscaper.Replace(s) }
-func escapeAttr(s string) string { return attrEscaper.Replace(s) }
+// appendEscaped appends s with the markup characters replaced by entity
+// references: &, < and > in text; &, < and " in an attribute value.
+func appendEscaped(dst []byte, s string, attr bool) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var ref string
+		switch s[i] {
+		case '&':
+			ref = "&amp;"
+		case '<':
+			ref = "&lt;"
+		case '>':
+			if attr {
+				continue
+			}
+			ref = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			ref = "&quot;"
+		default:
+			continue
+		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, ref...)
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
+}

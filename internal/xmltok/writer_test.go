@@ -263,3 +263,65 @@ func TestCodecEmptyStrings(t *testing.T) {
 		}
 	}
 }
+
+// The escapers the writer used before it escaped by appending; kept as
+// the oracle for appendEscaped.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
+)
+
+// Property: appendEscaped matches the strings.Replacer escapers byte for
+// byte, for text and for attribute values.
+func TestAppendEscapedMatchesReplacer(t *testing.T) {
+	alphabet := []string{"&", "<", ">", `"`, "'", "a", "é"}
+	f := func(picks []uint8) bool {
+		var sb strings.Builder
+		for _, p := range picks {
+			sb.WriteString(alphabet[int(p)%len(alphabet)])
+		}
+		s := sb.String()
+		return string(appendEscaped([]byte("<"), s, false)) == "<"+textEscaper.Replace(s) &&
+			string(appendEscaped([]byte("<"), s, true)) == "<"+attrEscaper.Replace(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// countingSink counts the Write calls it receives.
+type countingSink struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *countingSink) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// TestWriterOneWritePerToken: each token, indentation included, reaches
+// the underlying writer as one Write; Close adds one for the final
+// newline in indented mode.
+func TestWriterOneWritePerToken(t *testing.T) {
+	toks := randomTokens(rand.New(rand.NewSource(5)), 40)
+	for _, indent := range []string{"", "  "} {
+		var sink countingSink
+		w := NewIndentWriter(&sink, indent)
+		for _, tok := range toks {
+			if err := w.WriteToken(tok); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := len(toks)
+		if indent != "" {
+			want++
+		}
+		if sink.writes != want {
+			t.Errorf("indent %q: %d writes for %d tokens, want %d", indent, sink.writes, len(toks), want)
+		}
+	}
+}
