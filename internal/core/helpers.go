@@ -21,7 +21,7 @@ import (
 // bounds sorting to the top relLimit levels: deeper elements degrade to the
 // empty key, so the (key, seq) order reduces to document order there.
 func keyPathSortTokens(env *em.Env, src xmltree.TokenSource, relLimit int, w *runstore.Writer) error {
-	sorter, err := extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeyPath(), env.Budget.Free())
+	sorter, err := extsort.New(env, em.CatSubtreeSort, sortkey.KeyPath(), env.Budget.Free())
 	if err != nil {
 		return err
 	}
@@ -97,9 +97,9 @@ func (s *sorter) buildKeySidecar(start int64) (*keySidecar, error) {
 		return nil, err
 	}
 	// The sidecar sorts on the first 8 raw bytes — the big-endian preorder
-	// index — which is already a normalized key, so the kernel is a pure
-	// fixed-prefix memcmp.
-	sorter, err := extsort.NewKernel(s.env, em.CatSubtreeSort, sortkey.FixedPrefix(8), sidecarBlocks)
+	// index — which is already a normalized key, so the kernel's key is
+	// that prefix itself.
+	sorter, err := extsort.New(s.env, em.CatSubtreeSort, sortkey.FixedPrefix(8), sidecarBlocks)
 	if err != nil {
 		reader.Close()
 		return nil, err
@@ -217,7 +217,7 @@ func encodeChildRecord(dst []byte, node *xmltree.Node, seq int64) ([]byte, error
 // all remaining budget. The (key, seq) header is exactly sortkey's KeySeq
 // format, so the sorter compares child records without decoding them.
 func newChildRecordSorter(env *em.Env) (*extsort.Sorter, error) {
-	return extsort.NewKernel(env, em.CatSubtreeSort, sortkey.KeySeq(), env.Budget.Free())
+	return extsort.New(env, em.CatSubtreeSort, sortkey.KeySeq(), env.Budget.Free())
 }
 
 // drainChildRecords streams sorted child records into a run, stripping the

@@ -1,7 +1,6 @@
 package extsort
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -30,7 +29,7 @@ func BenchmarkSorterExternal(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := New(env, em.CatMergeRun, func(a, c []byte) int { return bytes.Compare(a, c) }, 14)
+		s, err := New(env, em.CatMergeRun, bytesKernel, 14)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +79,7 @@ func BenchmarkFramePool(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := New(env, em.CatMergeRun, func(a, c []byte) int { return bytes.Compare(a, c) }, 30)
+		s, err := New(env, em.CatMergeRun, bytesKernel, 30)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,8 +111,8 @@ func BenchmarkFramePool(b *testing.B) {
 }
 
 // BenchmarkKeyPathSorterExternal measures the external sort on its product
-// workload: keypath-encoded records under the comparison kernel (normalized
-// key prefixes + loser-tree merge). This is the configuration SortXML and
+// workload: keypath-encoded records under the comparison kernel (key-first
+// batches + loser-tree merge). This is the configuration SortXML and
 // core's subtree sorts run, so its ns/op is the end-to-end figure for the
 // sort hot path.
 func BenchmarkKeyPathSorterExternal(b *testing.B) {
@@ -142,7 +141,7 @@ func BenchmarkKeyPathSorterExternal(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := NewKernel(env, em.CatMergeRun, sortkey.KeyPath(), 14)
+		s, err := New(env, em.CatMergeRun, sortkey.KeyPath(), 14)
 		if err != nil {
 			b.Fatal(err)
 		}

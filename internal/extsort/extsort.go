@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
 
@@ -29,27 +30,28 @@ import (
 	"nexsort/internal/sortkey"
 )
 
-// Compare is a total order over encoded records. Comparators must be safe
-// for concurrent use (the library's are pure functions): at parallelism
-// above one, several runs may be sorting on pool workers at once.
-type Compare func(a, b []byte) int
-
-// keyPrefixLen is the inline normalized-key prefix kept next to every
-// buffered record and merge cursor. Comparisons hit this fixed-size,
-// zero-padded array first — one memcmp, no pointer chase — and fall back
-// to the full comparator only on a prefix tie. 16 bytes covers the first
-// two-or-so path components of a key-path record; the zero padding keeps
-// the truncated comparison decisive (a differing padded prefix always
-// agrees with the full key order, see internal/sortkey).
-const keyPrefixLen = 16
-
-// entry is one buffered record: the normalized-key prefix inline, then
-// the record bytes in the batch arena. Run formation sorts a flat []entry
-// with slices.SortFunc — cache-friendly sequential key access, no
-// reflection-based swapping.
+// entry is one buffered record in key-first form: buf holds the record's
+// full normalized key (buf[:keyLen]) followed by the rest of the record
+// after the prefix the key encodes. When the key encodes no prefix
+// (sortkey.Kernel.Key reported n = 0), whole is set and buf[keyLen:] is
+// the entire record. Run formation sorts a flat []entry by bytes.Compare
+// on the keys alone; writeRun restores the exact record bytes.
 type entry struct {
-	key [keyPrefixLen]byte
-	rec []byte
+	buf    []byte
+	keyLen uint32
+	whole  bool
+}
+
+func (e *entry) key() []byte  { return e.buf[:e.keyLen] }
+func (e *entry) rest() []byte { return e.buf[e.keyLen:] }
+
+// appendHead appends the record prefix e's key encodes to dst: nothing
+// for a whole entry, otherwise the kernel's Restore of the key.
+func (e *entry) appendHead(dst []byte, restore func(dst, key []byte) []byte) []byte {
+	if e.whole {
+		return dst
+	}
+	return restore(dst, e.key())
 }
 
 // Sorter sorts byte records within a fixed block budget. Create with New,
@@ -68,18 +70,15 @@ type entry struct {
 // The Sorter itself is confined to one goroutine (Add/Sort/Close are not
 // concurrent with each other); the parallelism is internal.
 type Sorter struct {
-	env *em.Env
-	cat em.Category
-	cmp Compare
-	// keyer generates normalized-key prefixes (sortkey.Kernel.AppendKey);
-	// nil means every comparison goes through cmp directly.
-	keyer func(dst, rec []byte, max int) []byte
+	env    *em.Env
+	cat    em.Category
+	kernel sortkey.Kernel
 
 	memBlocks int
 	bufLimit  int // record bytes buffered before a run is cut
 
 	entries  []entry
-	keyBuf   []byte    // reused normalized-key scratch for Add
+	keyBuf   []byte    // reused normalized-key scratch for Add (not for workers)
 	arena    *recArena // frame-backed storage behind entry records
 	bufBytes int
 	runs     []*em.Stream
@@ -98,6 +97,8 @@ type Sorter struct {
 	streamedFinal bool
 	sorted        bool
 	closed        bool
+
+	arenaHeapAllocs int64 // records the batch arena could not hold
 }
 
 // Stats reports how the sort executed, for experiment harnesses: the paper
@@ -112,25 +113,19 @@ type Stats struct {
 	// final merge was delivered through the Iterator instead of being
 	// materialized as one more run (Device.NearFull fired).
 	StreamedFinalMerge bool
+	// arenaHeapAllocs counts records that fell back from the batch arena
+	// to the heap.
+	arenaHeapAllocs int64
 }
 
 // New creates a sorter that may use memBlocks blocks of main memory,
 // granted from env's budget immediately. memBlocks must be at least 3 (two
 // input/buffer blocks plus one output block is the smallest merge that
-// makes progress). Every comparison goes through cmp; callers with an
-// order-preserving normalized-key encoding should prefer NewKernel, which
-// turns most comparisons into inline-prefix memcmps.
-func New(env *em.Env, cat em.Category, cmp Compare, memBlocks int) (*Sorter, error) {
-	return NewKernel(env, cat, sortkey.Kernel{Compare: cmp}, memBlocks)
-}
-
-// NewKernel creates a sorter driven by a comparison kernel: k.Compare is
-// the record order, and k.AppendKey (when non-nil) supplies the
-// order-preserving normalized keys whose first keyPrefixLen bytes are
-// cached inline with every buffered record and merge cursor. The kernel
-// changes how comparisons execute, never their outcome, so output bytes
-// and I/O counts are identical to a plain New sorter with the same order.
-func NewKernel(env *em.Env, cat em.Category, k sortkey.Kernel, memBlocks int) (*Sorter, error) {
+// makes progress). The kernel defines the record order: every record is
+// buffered as its full normalized key followed by the rest of the record
+// after the prefix the key encodes, so run formation and merging compare
+// keys with one memcmp each, and spilled runs hold the exact record bytes.
+func New(env *em.Env, cat em.Category, k sortkey.Kernel, memBlocks int) (*Sorter, error) {
 	if memBlocks < 3 {
 		return nil, fmt.Errorf("extsort: need at least 3 memory blocks, got %d", memBlocks)
 	}
@@ -140,27 +135,34 @@ func NewKernel(env *em.Env, cat em.Category, k sortkey.Kernel, memBlocks int) (*
 	return &Sorter{
 		env:       env,
 		cat:       cat,
-		cmp:       k.Compare,
-		keyer:     k.AppendKey,
+		kernel:    k,
 		memBlocks: memBlocks,
 		bufLimit:  (memBlocks - 1) * env.Conf.BlockSize,
 		arena:     newRecArena(env.Dev.Frames(), memBlocks-1),
 	}, nil
 }
 
-// Add buffers one record (copied into the batch arena), cutting an initial
-// run when the buffer is full. Records larger than the buffer still sort
-// correctly: they form single-record runs.
+// Add buffers one record (in key-first form, in the batch arena), cutting
+// an initial run when the buffer is full. The cut is decided on record
+// bytes, not key-first bytes, so run cut points do not depend on the key
+// encoding. Records larger than the buffer still sort correctly: they form
+// single-record runs.
 func (s *Sorter) Add(rec []byte) error {
 	if s.sorted {
 		return fmt.Errorf("extsort: Add after Sort")
 	}
-	e := entry{rec: s.arena.alloc(rec)}
-	if s.keyer != nil {
-		s.keyBuf = s.keyer(s.keyBuf[:0], rec, keyPrefixLen)
-		copy(e.key[:], s.keyBuf) // zero-padded when the key is shorter
+	key, n := s.kernel.Key(s.keyBuf[:0], rec)
+	s.keyBuf = key
+	if uint64(len(key)) > math.MaxUint32 {
+		return fmt.Errorf("extsort: sort key of %d bytes", len(key))
 	}
-	s.entries = append(s.entries, e)
+	rest := rec[n:]
+	buf, fromHeap := s.arena.alloc(len(key) + len(rest))
+	if fromHeap {
+		s.arenaHeapAllocs++
+	}
+	copy(buf[copy(buf, key):], rest)
+	s.entries = append(s.entries, entry{buf: buf, keyLen: uint32(len(key)), whole: n == 0})
 	s.bufBytes += len(rec)
 	s.totalRecords++
 	s.totalBytes += int64(len(rec))
@@ -170,14 +172,17 @@ func (s *Sorter) Add(rec []byte) error {
 	return nil
 }
 
-// recArena carves record copies out of pool frames, replacing the
+// recArena carves key-first records out of pool frames, replacing the
 // one-allocation-per-record pattern with bump allocation inside recycled
 // block buffers. The arena holds at most maxFrames frames — the M−1 buffer
-// blocks of the sorter's grant, which is exactly what bufLimit lets the
-// records fill — and backs one batch: the batch's runs are cut from it,
-// then release() recycles the frames wholesale. Oversized records (and the
-// rare overflow when per-frame fragmentation exceeds the slack) fall back
-// to plain allocations that die with the batch.
+// blocks of the sorter's grant, which is what bufLimit lets the records
+// fill — and backs one batch: the batch's runs are cut from it, then
+// release() recycles the frames wholesale. A key-path record's key-first
+// form is a byte shorter than the record (the key drops the path-length
+// header); once a frame holds more records than a record has bytes, as
+// 64 KiB frames do, that slack covers the tail each frame wastes when the
+// next record does not fit. Oversized records (and any overflow the slack
+// does not cover) fall back to plain allocations that die with the batch.
 type recArena struct {
 	pool      *em.FramePool
 	maxFrames int
@@ -189,13 +194,11 @@ func newRecArena(pool *em.FramePool, maxFrames int) *recArena {
 	return &recArena{pool: pool, maxFrames: maxFrames}
 }
 
-// alloc returns a copy of rec with storage carved from the arena.
-func (a *recArena) alloc(rec []byte) []byte {
-	n := len(rec)
+// alloc returns n bytes of storage carved from the arena, or from the
+// heap (fromHeap) when the arena cannot hold them.
+func (a *recArena) alloc(n int) (buf []byte, fromHeap bool) {
 	if n > a.pool.FrameSize() || (len(a.frames) == a.maxFrames && len(a.cur) < n) {
-		cp := make([]byte, n)
-		copy(cp, rec)
-		return cp
+		return make([]byte, n), true
 	}
 	if len(a.cur) < n {
 		f := a.pool.Acquire()
@@ -203,9 +206,8 @@ func (a *recArena) alloc(rec []byte) []byte {
 		a.cur = f.Bytes()
 	}
 	out := a.cur[:n:n]
-	copy(out, rec)
 	a.cur = a.cur[n:]
-	return out
+	return out, false
 }
 
 // release recycles the arena's frames, invalidating every record allocated
@@ -297,30 +299,20 @@ func (s *Sorter) cutRun() error {
 	return nil
 }
 
-// sortEntries orders one batch in place. With a keyer, most comparisons
-// resolve on the inline prefixes — a fixed-size memcmp over data the sort
-// is already touching — and only prefix ties pay for the full comparator.
-// Without one, the order is cmp alone. Either way the order is the total
-// order of the kernel, so run contents are independent of which path
-// resolved each comparison.
-func (s *Sorter) sortEntries(entries []entry) {
-	if s.keyer == nil {
-		slices.SortFunc(entries, func(a, b entry) int { return s.cmp(a.rec, b.rec) })
-		return
-	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if c := bytes.Compare(a.key[:], b.key[:]); c != 0 {
-			return c
-		}
-		return s.cmp(a.rec, b.rec)
-	})
+// sortEntries orders one batch in place by full normalized keys: every
+// comparison is one memcmp over bytes the sort is already touching. The
+// kernel's keys agree in sign with its documented order, so the
+// permutation (ties included) is that order's.
+func sortEntries(entries []entry) {
+	slices.SortFunc(entries, func(a, b entry) int { return bytes.Compare(a.key(), b.key()) })
 }
 
-// writeRun sorts one complete batch and spills it as a length-prefixed run.
-// It touches no Sorter state besides env/cat/cmp/keyer, so it is safe on a
-// worker.
+// writeRun sorts one complete batch and spills it as a length-prefixed run
+// of the exact record bytes. It touches no Sorter state besides env, cat
+// and the (pure) kernel — its restore scratch belongs to the batch — so it
+// is safe on a worker.
 func (s *Sorter) writeRun(batch []entry) (*em.Stream, error) {
-	s.sortEntries(batch)
+	sortEntries(batch)
 	run := em.NewStream(s.env.Dev, s.cat)
 	w, err := run.NewWriter(nil) // accounted under this sorter's grant
 	if err != nil {
@@ -329,13 +321,22 @@ func (s *Sorter) writeRun(batch []entry) (*em.Stream, error) {
 	// Close on every path: the writer's buffer frame must go back to the
 	// pool even when the spill fails mid-run.
 	defer w.Close()
-	var lenBuf [binary.MaxVarintLen64]byte
-	for _, e := range batch {
-		n := binary.PutUvarint(lenBuf[:], uint64(len(e.rec)))
-		if _, err := w.Write(lenBuf[:n]); err != nil {
+	// head holds the length prefix right-aligned in its first pad bytes,
+	// then the restored record prefix, so each record is two writes.
+	const pad = binary.MaxVarintLen64
+	var lenBuf [pad]byte
+	head := make([]byte, pad, 256)
+	for i := range batch {
+		e := &batch[i]
+		head = e.appendHead(head[:pad], s.kernel.Restore)
+		rest := e.rest()
+		n := binary.PutUvarint(lenBuf[:], uint64(len(head)-pad+len(rest)))
+		start := pad - n
+		copy(head[start:], lenBuf[:n])
+		if _, err := w.Write(head[start:]); err != nil {
 			return nil, err
 		}
-		if _, err := w.Write(e.rec); err != nil {
+		if _, err := w.Write(rest); err != nil {
 			return nil, err
 		}
 	}
@@ -403,8 +404,8 @@ func (s *Sorter) Sort() (*Iterator, error) {
 	// Fast path: everything fit in memory, no run was ever cut (and hence
 	// no worker is in flight — workers exist only for cut runs).
 	if len(s.runs) == 0 {
-		s.sortEntries(s.entries)
-		return &Iterator{mem: s.entries}, nil
+		sortEntries(s.entries)
+		return &Iterator{mem: s.entries, restore: s.kernel.Restore}, nil
 	}
 	if err := s.cutRun(); err != nil {
 		return nil, err
@@ -530,11 +531,10 @@ func (s *Sorter) mergePass(runs []*em.Stream, fanIn int) ([]*em.Stream, error) {
 }
 
 // mergeCursor tracks one input run during a k-way merge: its reader, the
-// current record, and that record's normalized-key prefix cached inline so
-// the loser tree's matches are one memcmp over data already in the cursor
-// slice — no pointer chase into the run buffers on the compare path.
+// current record, and that record's full normalized key in a buffer reused
+// across records, so each loser-tree match is one memcmp.
 type mergeCursor struct {
-	key    [keyPrefixLen]byte
+	key    []byte
 	r      *runReader
 	rec    []byte
 	idx    int
@@ -553,7 +553,6 @@ type streamMerger struct {
 	s       *Sorter
 	cursors []mergeCursor
 	tree    *sortkey.LoserTree
-	kbuf    []byte
 	started bool
 	closed  bool
 }
@@ -586,10 +585,9 @@ func newStreamMerger(s *Sorter, runs []*em.Stream) (*streamMerger, error) {
 	return m, nil
 }
 
-// load advances a cursor to its run's next record, refreshing the inline
-// key prefix; at EOF the reader is closed immediately (its buffer frame
-// goes back to the pool while the merge continues) and the cursor is
-// marked exhausted.
+// load advances a cursor to its run's next record, refreshing its key; at
+// EOF the reader is closed immediately (its buffer frame goes back to the
+// pool while the merge continues) and the cursor is marked exhausted.
 func (m *streamMerger) load(cur *mergeCursor) error {
 	rec, err := cur.r.next()
 	if err == io.EOF {
@@ -603,18 +601,12 @@ func (m *streamMerger) load(cur *mergeCursor) error {
 		return err
 	}
 	cur.rec = rec
-	if m.s.keyer != nil {
-		m.kbuf = m.s.keyer(m.kbuf[:0], rec, keyPrefixLen)
-		n := copy(cur.key[:], m.kbuf)
-		for i := n; i < keyPrefixLen; i++ {
-			cur.key[i] = 0
-		}
-	}
+	cur.key, _ = m.s.kernel.Key(cur.key[:0], rec)
 	return nil
 }
 
 // less ranks cursors for the loser tree: exhausted runs after every live
-// one, then key prefix, then full comparator, then run index.
+// one, then normalized key, then run index.
 func (m *streamMerger) less(a, b int32) bool {
 	ca, cb := &m.cursors[a], &m.cursors[b]
 	if ca.eof != cb.eof {
@@ -623,12 +615,7 @@ func (m *streamMerger) less(a, b int32) bool {
 	if ca.eof {
 		return ca.idx < cb.idx
 	}
-	if m.s.keyer != nil {
-		if c := bytes.Compare(ca.key[:], cb.key[:]); c != 0 {
-			return c < 0
-		}
-	}
-	if c := m.s.cmp(ca.rec, cb.rec); c != 0 {
+	if c := bytes.Compare(ca.key, cb.key); c != 0 {
 		return c < 0
 	}
 	return ca.idx < cb.idx
@@ -729,6 +716,7 @@ func (s *Sorter) Stats() Stats {
 		MergePasses:        s.mergePasses,
 		Spilled:            s.initialRuns > 0,
 		StreamedFinalMerge: s.streamedFinal,
+		arenaHeapAllocs:    s.arenaHeapAllocs,
 	}
 }
 
@@ -759,11 +747,14 @@ type recordSource interface {
 	close()
 }
 
-// Iterator yields sorted records. Exactly one of mem/run is set.
+// Iterator yields sorted records. Exactly one of mem/run is set; mem
+// records are restored from key-first form into buf.
 type Iterator struct {
-	mem []entry
-	i   int
-	run recordSource
+	mem     []entry
+	i       int
+	restore func(dst, key []byte) []byte
+	buf     []byte
+	run     recordSource
 }
 
 // Next returns the next record, or io.EOF. The returned slice is valid
@@ -775,9 +766,10 @@ func (it *Iterator) Next() ([]byte, error) {
 	if it.i >= len(it.mem) {
 		return nil, io.EOF
 	}
-	rec := it.mem[it.i].rec
+	e := &it.mem[it.i]
 	it.i++
-	return rec, nil
+	it.buf = append(e.appendHead(it.buf[:0], it.restore), e.rest()...)
+	return it.buf, nil
 }
 
 // Close releases the iterator's reader.

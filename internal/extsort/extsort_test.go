@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"nexsort/internal/em"
 	"nexsort/internal/keys"
+	"nexsort/internal/sortkey"
 	"nexsort/internal/xmltree"
 )
 
@@ -25,11 +27,13 @@ func newEnv(t *testing.T, blockSize, memBlocks int) *em.Env {
 	return env
 }
 
-func bytesCompare(a, b []byte) int { return bytes.Compare(a, b) }
+// bytesKernel orders records by all their bytes: the key is the whole
+// record, and Restore hands it back unchanged.
+var bytesKernel = sortkey.FixedPrefix(math.MaxInt)
 
 func TestSorterInMemoryFastPath(t *testing.T) {
 	env := newEnv(t, 256, 8)
-	s, err := New(env, em.CatMergeRun, bytesCompare, 5)
+	s, err := New(env, em.CatMergeRun, bytesKernel, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +76,7 @@ func TestSorterSpillAndMerge(t *testing.T) {
 	// Tiny blocks and memory force multiple runs and at least one merge
 	// pass.
 	env := newEnv(t, 64, 16)
-	s, err := New(env, em.CatMergeRun, bytesCompare, 3)
+	s, err := New(env, em.CatMergeRun, bytesKernel, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +132,7 @@ func TestSorterCompressedSpill(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { env.Close() })
-		s, err := New(env, em.CatMergeRun, bytesCompare, 3)
+		s, err := New(env, em.CatMergeRun, bytesKernel, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +192,7 @@ func TestSorterMergePassCounts(t *testing.T) {
 	// should be ceil(log2(r)).
 	for _, runs := range []int{2, 3, 4, 7, 8} {
 		env := newEnv(t, 64, 8)
-		s, err := New(env, em.CatMergeRun, bytesCompare, 3)
+		s, err := New(env, em.CatMergeRun, bytesKernel, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,13 +226,13 @@ func TestSorterMergePassCounts(t *testing.T) {
 
 func TestSorterBudget(t *testing.T) {
 	env := newEnv(t, 128, 6)
-	if _, err := New(env, em.CatMergeRun, bytesCompare, 7); err == nil {
+	if _, err := New(env, em.CatMergeRun, bytesKernel, 7); err == nil {
 		t.Error("over-budget sorter should fail")
 	}
-	if _, err := New(env, em.CatMergeRun, bytesCompare, 2); err == nil {
+	if _, err := New(env, em.CatMergeRun, bytesKernel, 2); err == nil {
 		t.Error("sorter with <3 blocks should fail")
 	}
-	s, err := New(env, em.CatMergeRun, bytesCompare, 6)
+	s, err := New(env, em.CatMergeRun, bytesKernel, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestSorterBudget(t *testing.T) {
 
 func TestSorterMisuse(t *testing.T) {
 	env := newEnv(t, 128, 6)
-	s, _ := New(env, em.CatMergeRun, bytesCompare, 3)
+	s, _ := New(env, em.CatMergeRun, bytesKernel, 3)
 	defer s.Close()
 	if _, err := s.Sort(); err != nil {
 		t.Fatal(err)
@@ -267,7 +271,7 @@ func TestSorterQuick(t *testing.T) {
 			return false
 		}
 		defer env.Close()
-		s, err := New(env, em.CatMergeRun, bytesCompare, 3+rng.Intn(env.Budget.Total()-2))
+		s, err := New(env, em.CatMergeRun, bytesKernel, 3+rng.Intn(env.Budget.Total()-2))
 		if err != nil {
 			return false
 		}

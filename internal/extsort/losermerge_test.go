@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"testing"
 
@@ -56,17 +57,12 @@ func drainSorted(t *testing.T, s *Sorter) []string {
 	}
 }
 
-// identityKernel normalizes a record to itself: bytes.Compare order with the
-// prefix-caching machinery fully engaged.
-func identityKernel() sortkey.Kernel {
+// keyOnlyKernel orders records by all their bytes but encodes none of
+// them (n = 0), so every buffered record travels whole after its key.
+func keyOnlyKernel() sortkey.Kernel {
 	return sortkey.Kernel{
-		Compare: bytesCompare,
-		AppendKey: func(dst, rec []byte, max int) []byte {
-			if max > 0 && len(rec) > max {
-				rec = rec[:max]
-			}
-			return append(dst, rec...)
-		},
+		Key:     func(dst, rec []byte) ([]byte, int) { return append(dst, rec...), 0 },
+		Restore: func(dst, key []byte) []byte { return append(dst, key...) },
 	}
 }
 
@@ -82,12 +78,15 @@ func TestLoserMergeBoundaryFanIns(t *testing.T) {
 			name string
 			k    sortkey.Kernel
 		}{
-			{"cmp-only", sortkey.Kernel{Compare: bytesCompare}},
-			{"with-keyer", identityKernel()},
+			// cmp-only: the key only orders records (n = 0).
+			// with-keyer: the key is the record itself and Restore
+			// rebuilds it.
+			{"cmp-only", keyOnlyKernel()},
+			{"with-keyer", bytesKernel},
 		} {
 			t.Run(fmt.Sprintf("fanin=%d/%s", k, kernel.name), func(t *testing.T) {
 				env := newEnv(t, 64, 16)
-				s, err := NewKernel(env, em.CatMergeRun, kernel.k, memBlocks)
+				s, err := New(env, em.CatMergeRun, kernel.k, memBlocks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -142,23 +141,12 @@ func TestLoserMergeBoundaryFanIns(t *testing.T) {
 
 // TestLoserMergeDeterministicTies pins the tie-break discipline across the
 // heap→loser-tree swap: records that compare equal pop in run-index order.
-// The comparator looks only at the first byte, so the trailing run tag
+// The key is only the first byte, so the trailing run tag
 // records which cursor each pop came from.
 func TestLoserMergeDeterministicTies(t *testing.T) {
-	firstByte := sortkey.Kernel{
-		Compare: func(a, b []byte) int {
-			if a[0] != b[0] {
-				if a[0] < b[0] {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		},
-		AppendKey: func(dst, rec []byte, max int) []byte { return append(dst, rec[0]) },
-	}
+	firstByte := sortkey.FixedPrefix(1)
 	env := newEnv(t, 64, 16)
-	s, err := NewKernel(env, em.CatMergeRun, firstByte, 5)
+	s, err := New(env, em.CatMergeRun, firstByte, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,18 +165,18 @@ func TestLoserMergeDeterministicTies(t *testing.T) {
 	}
 }
 
-// TestLoserMergePrefixTieFallsBackToCmp forces prefix collisions: records
-// share their first keyPrefixLen bytes and differ only beyond the inline
-// prefix, so every merge decision must fall through the memcmp to the full
-// comparator.
-func TestLoserMergePrefixTieFallsBackToCmp(t *testing.T) {
+// TestLoserMergeLongSharedPrefix merges records that share a 64-byte
+// prefix and differ only after it, so every merge decision is made past
+// the point where a fixed-size inline key prefix would have tied: the
+// full normalized keys must carry the order to the last byte.
+func TestLoserMergeLongSharedPrefix(t *testing.T) {
 	env := newEnv(t, 64, 16)
-	s, err := NewKernel(env, em.CatMergeRun, identityKernel(), 5)
+	s, err := New(env, em.CatMergeRun, bytesKernel, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	prefix := strings.Repeat("p", keyPrefixLen)
+	prefix := strings.Repeat("p", 64)
 	var want []string
 	for i := 0; i < 3; i++ {
 		var recs [][]byte
@@ -201,14 +189,9 @@ func TestLoserMergePrefixTieFallsBackToCmp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := drainSorted(t, s)
-	for i := 1; i < len(got); i++ {
-		if got[i-1] > got[i] {
-			t.Fatalf("output out of order at %d: %q > %q", i, got[i-1], got[i])
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d records, want %d", len(got), len(want))
+	sort.Strings(want)
+	if got := drainSorted(t, s); strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("merged\n%q\nwant\n%q", got, want)
 	}
 }
 
@@ -218,7 +201,7 @@ func TestLoserMergePrefixTieFallsBackToCmp(t *testing.T) {
 // budget block may stay live after Close.
 func TestLoserMergeReaderErrorReleasesFrames(t *testing.T) {
 	env := newEnv(t, 64, 16)
-	s, err := New(env, em.CatMergeRun, bytesCompare, 3)
+	s, err := New(env, em.CatMergeRun, bytesKernel, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

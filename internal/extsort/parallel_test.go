@@ -75,7 +75,7 @@ func TestParallelRunFormationMatchesSequential(t *testing.T) {
 	const records = 2000
 	run := func(parallelism int) ([]string, Stats, map[string]em.IOCount) {
 		env, _ := poolEnv(t, 64, parallelism)
-		s, err := New(env, em.CatMergeRun, bytesCompare, 4)
+		s, err := New(env, em.CatMergeRun, bytesKernel, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestWorkerFaultDrainsAndReleasesBudget(t *testing.T) {
 	for _, parallelism := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("parallelism=%d", parallelism), func(t *testing.T) {
 			env, fb := poolEnv(t, 64, parallelism)
-			s, err := New(env, em.CatMergeRun, bytesCompare, 4)
+			s, err := New(env, em.CatMergeRun, bytesKernel, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +164,7 @@ func TestWorkerFaultDrainsAndReleasesBudget(t *testing.T) {
 // for them and hand back every block.
 func TestCloseMidFlightReleasesBudget(t *testing.T) {
 	env, _ := poolEnv(t, 64, 8)
-	s, err := New(env, em.CatMergeRun, bytesCompare, 4)
+	s, err := New(env, em.CatMergeRun, bytesKernel, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

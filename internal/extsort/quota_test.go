@@ -43,7 +43,7 @@ func quotaSort(t *testing.T, recs [][]byte, quota int64) (out []byte, st Stats, 
 		}
 	}()
 
-	s, err := New(env, em.CatMergeRun, bytesCompare, 3)
+	s, err := New(env, em.CatMergeRun, bytesKernel, 3)
 	if err != nil {
 		return nil, st, 0, err
 	}

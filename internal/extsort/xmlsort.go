@@ -31,6 +31,9 @@ type XMLReport struct {
 	// total number of passes over the data is MergePasses+1.
 	InitialRuns int
 	MergePasses int
+	// arenaHeapAllocs counts records that fell back from the sorter's
+	// batch arena to the heap.
+	arenaHeapAllocs int64
 }
 
 // XMLOptions configures a baseline sort.
@@ -82,10 +85,10 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	}
 	defer env.Budget.Release(2)
 
-	// The key-path kernel: record order via the normalized-key comparator,
-	// with inline key prefixes accelerating both run formation and the
-	// k-way merge (see internal/sortkey).
-	sorter, err := NewKernel(env, em.CatMergeRun, sortkey.KeyPath(), env.Budget.Free())
+	// The key-path kernel: records are buffered key-first, so run
+	// formation and the k-way merge compare full normalized keys with one
+	// memcmp each (see internal/sortkey).
+	sorter, err := New(env, em.CatMergeRun, sortkey.KeyPath(), env.Budget.Free())
 	if err != nil {
 		return nil, err
 	}
@@ -217,6 +220,7 @@ func SortXML(env *em.Env, c *keys.Criterion, in io.Reader, out io.Writer, opts X
 	report.RecordBytes = st.RecordBytes
 	report.InitialRuns = st.InitialRuns
 	report.MergePasses = st.MergePasses
+	report.arenaHeapAllocs = st.arenaHeapAllocs
 	return report, nil
 }
 

@@ -122,16 +122,22 @@ func AppendRecord(dst []byte, rec Record) []byte {
 // maxPathLen bounds decoded path lengths against corrupt input.
 const maxPathLen = 1 << 20
 
-// Decoder decodes records, reusing a scratch buffer for path keys and a
-// token decoder across calls — the record-decode path runs once per node in
-// the output phase of the merge-sort baseline, so the per-key allocation it
-// avoids is one of the hottest in that sorter. Not safe for concurrent use.
+// Decoder decodes records, reusing a scratch buffer for path keys, the
+// path slice, and a token decoder across calls — the record-decode path
+// runs once per node in the output phase of the merge-sort baseline. In a
+// sorted stream consecutive records share most of their path, so a
+// component whose key bytes match the previous record's at the same depth
+// reuses that record's Key string instead of allocating a new one. Not
+// safe for concurrent use.
 type Decoder struct {
 	scratch []byte
+	path    []Component
 	tok     xmltok.Decoder
 }
 
 // ReadRecord decodes one record from r, returning io.EOF at a clean end.
+// The returned Record's Path is valid until the next call (the Decoder
+// reuses it); its Key strings and Tok stay valid.
 func (d *Decoder) ReadRecord(r io.ByteReader) (Record, error) {
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -143,8 +149,14 @@ func (d *Decoder) ReadRecord(r io.ByteReader) (Record, error) {
 	if n > maxPathLen {
 		return Record{}, fmt.Errorf("keypath: corrupt record: path length %d", n)
 	}
-	rec := Record{Path: make([]Component, n)}
-	for i := range rec.Path {
+	// prev is the previous record's path. path may share its backing
+	// array; slot i of prev is read before path overwrites it.
+	prev := d.path
+	path := d.path[:0]
+	if cap(path) < int(n) {
+		path = make([]Component, 0, n)
+	}
+	for i := uint64(0); i < n; i++ {
 		keyLen, err := binary.ReadUvarint(r)
 		if err != nil {
 			return Record{}, unexpected(err)
@@ -178,14 +190,20 @@ func (d *Decoder) ReadRecord(r io.ByteReader) (Record, error) {
 			// agreement with the encoded comparator (uint64 order).
 			return Record{}, fmt.Errorf("keypath: corrupt record: seq %d overflows", seq)
 		}
-		rec.Path[i] = Component{Key: string(key), Seq: int64(seq)}
+		c := Component{Seq: int64(seq)}
+		if int(i) < len(prev) && prev[i].Key == string(key) {
+			c.Key = prev[i].Key
+		} else {
+			c.Key = string(key)
+		}
+		path = append(path, c)
 	}
+	d.path = path
 	tok, err := d.tok.ReadToken(r)
 	if err != nil {
 		return Record{}, unexpected(err)
 	}
-	rec.Tok = tok
-	return rec, nil
+	return Record{Path: path, Tok: tok}, nil
 }
 
 // ReadRecord decodes one record from r with a throwaway Decoder. Streaming

@@ -2,6 +2,7 @@ package keypath
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -145,6 +146,81 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, recs) {
 		t.Errorf("round trip mismatch:\n got %v\nwant %v", got, recs)
+	}
+}
+
+// deepStream encodes the preorder record stream of a complete tree of the
+// given depth and fan-out — sorted, as the sorter emits it — with start
+// tags for interior nodes and text for leaves.
+func deepStream(depth, fanout int) ([]Record, []byte) {
+	var recs []Record
+	var walk func(path []Component)
+	walk = func(path []Component) {
+		rec := Record{Path: append([]Component(nil), path...)}
+		if len(path) == depth {
+			rec.Tok = xmltok.Token{Kind: xmltok.KindText, Text: "leaf"}
+			recs = append(recs, rec)
+			return
+		}
+		rec.Tok = xmltok.Token{Kind: xmltok.KindStart, Name: "e"}
+		recs = append(recs, rec)
+		for i := 0; i < fanout; i++ {
+			walk(append(path, Component{Key: fmt.Sprintf("k%d", i), Seq: int64(i)}))
+		}
+	}
+	walk([]Component{{Key: "", Seq: 0}})
+	var buf []byte
+	for _, r := range recs {
+		buf = AppendRecord(buf, r)
+	}
+	return recs, buf
+}
+
+// TestDecoderStreamRoundTrip decodes a sorted stream with one Decoder,
+// whose Path slice and Key strings are reused across records, and checks
+// every record against the encoded one.
+func TestDecoderStreamRoundTrip(t *testing.T) {
+	recs, buf := deepStream(8, 3)
+	reader := bytes.NewReader(buf)
+	var d Decoder
+	for i := 0; ; i++ {
+		r, err := d.ReadRecord(reader)
+		if err == io.EOF {
+			if i != len(recs) {
+				t.Fatalf("decoded %d records, want %d", i, len(recs))
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r, recs[i]) {
+			t.Fatalf("record %d: got %v, want %v", i, r, recs[i])
+		}
+	}
+}
+
+// TestDecoderAllocs bounds decode allocations on a sorted depth-8 stream:
+// at most two per record — one for the token's string and at most one for
+// the path, since each record shares its ancestors' keys with the record
+// before it.
+func TestDecoderAllocs(t *testing.T) {
+	recs, buf := deepStream(8, 3)
+	reader := bytes.NewReader(buf)
+	var d Decoder
+	allocs := testing.AllocsPerRun(5, func() {
+		reader.Reset(buf)
+		for {
+			if _, err := d.ReadRecord(reader); err != nil {
+				if err != io.EOF {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+	})
+	if perRec := allocs / float64(len(recs)); perRec > 2 {
+		t.Errorf("decoding allocates %.2f per record, want ≤ 2", perRec)
 	}
 }
 

@@ -8,7 +8,7 @@ package sortkey
 // level. The caller owns the leaf items and the order; the tree stores
 // only int32 leaf indices in one flat array — no interface dispatch, no
 // per-node pointers — and the caller's less function closes over whatever
-// inline state (cached normalized-key prefixes) makes a match one memcmp.
+// state (each cursor's normalized key) makes a match one memcmp.
 //
 // Protocol: build with NewLoserTree, then loop { w := Winner(); consume
 // leaf w; advance leaf w (or mark it exhausted, ordering it after every

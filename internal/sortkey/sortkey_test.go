@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -41,26 +43,36 @@ func sign(c int) int {
 
 // checkAgreement asserts the central kernel property for one pair: the
 // comparator, bytes.Compare over full normalized keys, and antisymmetry
-// all agree.
-func checkAgreement(t *testing.T, cmp func(a, b []byte) int, norm func(dst, rec []byte, max int) []byte, a, b []byte) int {
+// all agree; and each record's key restores the prefix it claims.
+func checkAgreement(t *testing.T, cmp func(a, b []byte) int, k Kernel, a, b []byte) int {
 	t.Helper()
 	c := sign(cmp(a, b))
 	if rc := sign(cmp(b, a)); rc != -c {
 		t.Errorf("antisymmetry broken: cmp(a,b)=%d cmp(b,a)=%d\na=%x\nb=%x", c, rc, a, b)
 	}
-	na := norm(nil, a, 0)
-	nb := norm(nil, b, 0)
+	na := checkRoundTrip(t, k, a)
+	nb := checkRoundTrip(t, k, b)
 	if nc := sign(bytes.Compare(na, nb)); nc != c {
 		t.Errorf("normalized keys disagree: cmp=%d bytes.Compare=%d\na=%x → %x\nb=%x → %x", c, nc, a, na, b, nb)
 	}
-	// A max-limited key must be a prefix of the full key.
-	for _, max := range []int{1, 8, 16} {
-		p := norm(nil, a, max)
-		if !bytes.HasPrefix(na, p) {
-			t.Errorf("max=%d key %x is not a prefix of full key %x", max, p, na)
+	return c
+}
+
+// checkRoundTrip asserts the key-first contract for one record: when the
+// key encodes a prefix (n > 0), Restore(key) ‖ rec[n:] is rec byte for
+// byte. It returns the key.
+func checkRoundTrip(t *testing.T, k Kernel, rec []byte) []byte {
+	t.Helper()
+	key, n := k.Key(nil, rec)
+	if n < 0 || n > len(rec) {
+		t.Fatalf("Key(%x) reported n=%d outside [0, %d]", rec, n, len(rec))
+	}
+	if n > 0 {
+		if got := append(k.Restore(nil, key), rec[n:]...); !bytes.Equal(got, rec) {
+			t.Errorf("round trip: Restore(%x) ‖ rec[%d:] = %x, want %x", key, n, got, rec)
 		}
 	}
-	return c
+	return key
 }
 
 func TestCompareKeyPathValidOrder(t *testing.T) {
@@ -81,7 +93,7 @@ func TestCompareKeyPathValidOrder(t *testing.T) {
 	}
 	for i := range ordered {
 		for j := range ordered {
-			c := checkAgreement(t, CompareKeyPath, AppendKeyPathKey, ordered[i], ordered[j])
+			c := checkAgreement(t, CompareKeyPath, KeyPath(), ordered[i], ordered[j])
 			if want := sign(i - j); c != want {
 				t.Errorf("cmp(%d,%d) = %d, want %d", i, j, c, want)
 			}
@@ -97,7 +109,7 @@ func TestCompareKeyPathSeqOrder(t *testing.T) {
 		for j, sb := range seqs {
 			a := encodePath("k", sa)
 			b := encodePath("k", sb)
-			if c := checkAgreement(t, CompareKeyPath, AppendKeyPathKey, a, b); c != sign(i-j) {
+			if c := checkAgreement(t, CompareKeyPath, KeyPath(), a, b); c != sign(i-j) {
 				t.Errorf("seq %d vs %d: cmp = %d", sa, sb, c)
 			}
 		}
@@ -125,7 +137,7 @@ func TestCompareKeyPathMalformed(t *testing.T) {
 
 	for _, m := range [][]byte{truncated, overrun, seqCut, badHeader} {
 		for _, v := range [][]byte{valid, validChild, validEmpty} {
-			checkAgreement(t, CompareKeyPath, AppendKeyPathKey, m, v)
+			checkAgreement(t, CompareKeyPath, KeyPath(), m, v)
 		}
 		if c := CompareKeyPath(m, m); c != 0 {
 			t.Errorf("corrupt record not equal to itself: %d", c)
@@ -147,13 +159,13 @@ func TestCompareKeyPathMalformed(t *testing.T) {
 	if c := CompareKeyPath(truncated, aliased); c == 0 {
 		t.Error("truncated record still aliases an empty-key extension")
 	}
-	checkAgreement(t, CompareKeyPath, AppendKeyPathKey, truncated, aliased)
+	checkAgreement(t, CompareKeyPath, KeyPath(), truncated, aliased)
 
 	// Corrupt vs corrupt with different tails orders by tail bytes: both
 	// records have key "a" and a seq varint that never terminates.
 	m1 := []byte{1, 1, 'a', 0x80, 0x80}
 	m2 := []byte{1, 1, 'a', 0x80, 0x81}
-	if c := checkAgreement(t, CompareKeyPath, AppendKeyPathKey, m1, m2); c >= 0 {
+	if c := checkAgreement(t, CompareKeyPath, KeyPath(), m1, m2); c >= 0 {
 		t.Errorf("corrupt tails must order by raw bytes, got %d", c)
 	}
 }
@@ -177,7 +189,7 @@ func TestCompareKeySeq(t *testing.T) {
 	}
 	for i := range ordered {
 		for j := range ordered {
-			c := checkAgreement(t, CompareKeySeq, AppendKeySeqKey, ordered[i], ordered[j])
+			c := checkAgreement(t, CompareKeySeq, KeySeq(), ordered[i], ordered[j])
 			if want := sign(i - j); c != want {
 				t.Errorf("cmp(%d,%d) = %d, want %d", i, j, c, want)
 			}
@@ -192,7 +204,7 @@ func TestCompareKeySeq(t *testing.T) {
 	if c := CompareKeySeq(cut, enc("k", 1<<40, "")); c <= 0 {
 		t.Errorf("truncated seq must sort after valid seqs, got %d", c)
 	}
-	checkAgreement(t, CompareKeySeq, AppendKeySeqKey, cut, enc("k", 3, ""))
+	checkAgreement(t, CompareKeySeq, KeySeq(), cut, enc("k", 3, ""))
 }
 
 func TestCompareKeys(t *testing.T) {
@@ -205,16 +217,91 @@ func TestFixedPrefixKernel(t *testing.T) {
 	k := FixedPrefix(8)
 	a := append(binary.BigEndian.AppendUint64(nil, 5), "keyA"...)
 	b := append(binary.BigEndian.AppendUint64(nil, 9), "keyB"...)
-	if k.Compare(a, b) >= 0 || k.Compare(b, a) <= 0 || k.Compare(a, a) != 0 {
+	less := func(x, y []byte) int {
+		kx, _ := k.Key(nil, x)
+		ky, _ := k.Key(nil, y)
+		return bytes.Compare(kx, ky)
+	}
+	if less(a, b) >= 0 || less(b, a) <= 0 || less(a, a) != 0 {
 		t.Error("FixedPrefix order broken")
 	}
-	if got := k.AppendKey(nil, b, 0); !bytes.Equal(got, b[:8]) {
-		t.Errorf("AppendKey = %x, want %x", got, b[:8])
+	if got, n := k.Key(nil, b); !bytes.Equal(got, b[:8]) || n != 8 {
+		t.Errorf("Key = %x, %d, want %x, 8", got, n, b[:8])
 	}
+	checkRoundTrip(t, k, b)
 	// Records shorter than the prefix clamp instead of panicking: a
 	// one-byte record is a strict prefix of a's first 8 bytes here.
-	if k.Compare([]byte{0}, a) >= 0 {
+	if less([]byte{0}, a) >= 0 {
 		t.Error("short record must sort by its clamped prefix")
+	}
+	checkRoundTrip(t, k, []byte{0})
+	checkRoundTrip(t, k, nil)
+}
+
+// TestKeyPathLongPath round-trips paths around the 128-component mark,
+// where the restored path-length header grows to two bytes.
+func TestKeyPathLongPath(t *testing.T) {
+	for _, depth := range []int{127, 128, 300} {
+		comps := make([]any, 0, 2*depth)
+		for i := 0; i < depth; i++ {
+			comps = append(comps, fmt.Sprintf("k%d", i%7), i)
+		}
+		rec := append(encodePath(comps...), "token"...)
+		key := checkRoundTrip(t, KeyPath(), rec)
+		shorter := append(encodePath(comps[:len(comps)-2]...), "token"...)
+		checkAgreement(t, CompareKeyPath, KeyPath(), shorter, rec)
+		if len(key) == 0 {
+			t.Errorf("depth %d: empty key", depth)
+		}
+	}
+}
+
+// TestSeqEncodingWidths pins the prefix varint at every class boundary:
+// numeric order is byte order, the first byte is never 0xFF, seqAt
+// inverts it, and below 2^49 it is exactly as long as the uvarint.
+func TestSeqEncodingWidths(t *testing.T) {
+	var vals []uint64
+	for k := 0; k <= 9; k++ {
+		edge := uint64(1) << (7 * k)
+		vals = append(vals, edge-1, edge)
+	}
+	vals = append(vals, 1<<56-1, 1<<56, 1<<63, ^uint64(0))
+	var prev []byte
+	for i, v := range vals {
+		enc := appendSeq(nil, v)
+		if enc[0] == tagCorrupt {
+			t.Errorf("seq %d encodes with a leading 0xFF: %x", v, enc)
+		}
+		if got, next := seqAt(enc, 0); got != v || next != len(enc) {
+			t.Errorf("seqAt(%x) = %d, %d; want %d, %d", enc, got, next, v, len(enc))
+		}
+		if v < 1<<49 && len(enc) != uvarintLen(v) {
+			t.Errorf("seq %d: %d bytes, uvarint %d", v, len(enc), uvarintLen(v))
+		}
+		if i > 0 && vals[i-1] < v && bytes.Compare(prev, enc) >= 0 {
+			t.Errorf("seq %d (%x) does not sort after %d (%x)", v, enc, vals[i-1], prev)
+		}
+		prev = enc
+	}
+}
+
+// TestEscapedBytes checks each escaped key byte in the positions that
+// matter: alone, between ordinary bytes, and against its neighbours in
+// byte order, for both order and round trip.
+func TestEscapedBytes(t *testing.T) {
+	var keys []string
+	for _, c := range []byte{0x00, 0x01, 0x02, 'a', 0xFD, 0xFE, 0xFF} {
+		keys = append(keys, string([]byte{c}), "x"+string([]byte{c})+"y")
+	}
+	sort.Strings(keys)
+	keys = append([]string{""}, keys...)
+	for i := range keys {
+		for j := range keys {
+			a, b := encodePath("", 0, keys[i], 1), encodePath("", 0, keys[j], 1)
+			if c := checkAgreement(t, CompareKeyPath, KeyPath(), a, b); c != sign(strings.Compare(keys[i], keys[j])) {
+				t.Errorf("key %q vs %q: cmp = %d", keys[i], keys[j], c)
+			}
+		}
 	}
 }
 
@@ -246,7 +333,7 @@ func TestKeyPathRandomPairs(t *testing.T) {
 		return rec
 	}
 	for i := 0; i < 3000; i++ {
-		checkAgreement(t, CompareKeyPath, AppendKeyPathKey, randRec(), randRec())
+		checkAgreement(t, CompareKeyPath, KeyPath(), randRec(), randRec())
 	}
 }
 
@@ -282,7 +369,7 @@ func BenchmarkNormalizedCompare(b *testing.B) {
 	recs := benchRecords()
 	keys := make([][]byte, len(recs))
 	for i, r := range recs {
-		keys[i] = AppendKeyPathKey(nil, r, 0)
+		keys[i], _ = AppendKeyPathKey(nil, r)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -297,7 +384,21 @@ func BenchmarkAppendKeyPathKey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendKeyPathKey(buf[:0], recs[i%len(recs)], 16)
+		buf, _ = AppendKeyPathKey(buf[:0], recs[i%len(recs)])
+	}
+}
+
+func BenchmarkRestoreKeyPath(b *testing.B) {
+	recs := benchRecords()
+	keys := make([][]byte, len(recs))
+	for i, r := range recs {
+		keys[i], _ = AppendKeyPathKey(nil, r)
+	}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = RestoreKeyPath(buf[:0], keys[i%len(keys)])
 	}
 }
 
